@@ -111,8 +111,10 @@ def iter_windows(
     Yields every window from ``start_index`` on — including empty ones —
     up to ``duration`` when given (so a consumer sampling on window
     boundaries sees the full measured span even if the tail is quiet),
-    or up to the last event otherwise.  Holds at most one window of
-    events; ``max_window_events`` bounds that honestly with a
+    or up to the last event otherwise.  No window starts at or after
+    ``duration``: reading stops at the first event at or past it, outside
+    the measured span.  Holds at most one window of events;
+    ``max_window_events`` bounds that honestly with a
     :class:`WindowOverflowError` naming the offending window.
 
     ``start_index`` offsets the windowing for resumed replays: window
@@ -149,6 +151,8 @@ def iter_windows(
                 f"[{current.start}, {current.end}) — stream not time-ordered "
                 "or resume position wrong"
             )
+        if duration is not None and time >= duration:
+            break
         while time >= current.end:
             yield finish(current)
             index += 1
@@ -164,11 +168,10 @@ def iter_windows(
                 f"exceeds max_window_events={max_window_events}; widen the "
                 "cap or shrink window_seconds"
             )
-    # Tail: flush the in-progress window (unless it is an empty window
-    # already past the measured span — a resume of a completed replay
-    # starts there), then pad with empty windows to cover the full
-    # duration when one is known.
-    if current.events or duration is None or current.start < duration:
+    # Tail: flush the in-progress window (unless it starts past the
+    # measured span — a resume of a completed replay starts there), then
+    # pad with empty windows to cover the full duration when one is known.
+    if duration is None or current.start < duration:
         yield finish(current)
     if duration is not None:
         while current.end < duration:

@@ -57,6 +57,7 @@ from repro.core.surveillance import ObservationMode, SurveillanceModel
 from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
 from repro.tor.clientdist import ClientASDistribution
 from repro.tor.consensus import Consensus, Position
+from repro.tor.index import relay_index
 
 try:  # pragma: no cover - absence is exercised by the numpy-free CI job
     import numpy as _np
@@ -196,8 +197,7 @@ def _as_position_weights(
     are skipped.
     """
     weights: Dict[int, float] = {}
-    for relay in consensus.relays:
-        weight = consensus.position_weight(relay, position)
+    for relay, weight in zip(consensus.relays, relay_index(consensus).weights(position)):
         if weight <= 0.0:
             continue
         try:

@@ -3,6 +3,7 @@
 from repro.tor.relay import Flag, Relay
 from repro.tor.consensus import Consensus, BandwidthWeights
 from repro.tor.circuit import Circuit
+from repro.tor.index import RelayIndex, relay_index
 from repro.tor.pathsel import GuardManager, PathSelector, PathConstraints
 from repro.tor.client import TorClient
 from repro.tor.generator import ConsensusConfig, SyntheticTorNetwork, generate_consensus
@@ -23,6 +24,8 @@ __all__ = [
     "Consensus",
     "BandwidthWeights",
     "Circuit",
+    "RelayIndex",
+    "relay_index",
     "GuardManager",
     "PathSelector",
     "PathConstraints",

@@ -73,6 +73,13 @@ class BandwidthWeights:
             return self.Wmm
         raise ValueError(f"unknown position {position!r}")
 
+    def relay_weight(self, relay: Relay, position: str) -> float:
+        """``relay``'s selection weight for ``position``: its bandwidth
+        times :meth:`weight`, or 0.0 when it is not running."""
+        if not relay.is_running:
+            return 0.0
+        return relay.bandwidth * self.weight(relay, position)
+
     @classmethod
     def compute(cls, G: float, M: float, E: float, D: float) -> "BandwidthWeights":
         """Derive weights from class bandwidth totals (dir-spec §3.8.3).
@@ -202,9 +209,7 @@ class Consensus:
 
     def position_weight(self, relay: Relay, position: str) -> float:
         """Effective selection weight of ``relay`` for ``position``."""
-        if not relay.is_running:
-            return 0.0
-        return relay.bandwidth * self.weights.weight(relay, position)
+        return self.weights.relay_weight(relay, position)
 
     # -- serialization (simplified network-status format) ----------------------
 

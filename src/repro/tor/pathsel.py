@@ -17,37 +17,20 @@ Implements the two Tor mechanisms the paper's arguments hinge on:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.tor.circuit import Circuit
 from repro.tor.consensus import Consensus, Position
+from repro.tor.index import relay_index
 from repro.tor.relay import Relay
 
-__all__ = ["PathConstraints", "PathSelector", "GuardManager", "weighted_choice"]
+__all__ = ["PathConstraints", "PathSelector", "GuardManager"]
 
 #: seconds in a day, for guard rotation arithmetic
 _DAY = 86_400.0
-
-
-def weighted_choice(
-    rng: random.Random, relays: Sequence[Relay], weight: Callable[[Relay], float]
-) -> Optional[Relay]:
-    """Pick a relay with probability proportional to ``weight(relay)``.
-
-    Returns None when no relay has positive weight.
-    """
-    weights = [max(0.0, weight(r)) for r in relays]
-    total = sum(weights)
-    if total <= 0:
-        return None
-    pick = rng.uniform(0.0, total)
-    acc = 0.0
-    for relay, w in zip(relays, weights):
-        acc += w
-        if pick <= acc:
-            return relay
-    return relays[-1]
 
 
 @dataclass(frozen=True)
@@ -95,17 +78,29 @@ class PathSelector:
         """Pick one relay for ``position``, compatible with ``exclude``.
 
         ``predicate`` adds an eligibility filter (e.g. "exit policy admits
-        this destination").
+        this destination").  The choice is proportional to the position
+        weight among the relays with positive weight, so a relay the
+        position gives no weight is never returned; None means no relay
+        qualifies.  Exactly one ``rng.uniform`` draw is made when one does.
         """
-        candidates = [
-            r
-            for r in self.consensus.running()
-            if all(self.constraints.compatible(r, other) for other in exclude)
-            and (predicate is None or predicate(r))
-        ]
-        return weighted_choice(
-            self.rng, candidates, lambda r: self.consensus.position_weight(r, position)
+        index = relay_index(self.consensus)
+        relays = index.relays
+        conflicts = index.conflicts(
+            exclude, self.constraints.distinct_slash16, self.constraints.distinct_family
         )
+        candidates = [i for i in index.eligible(position) if i not in conflicts]
+        if predicate is not None:
+            candidates = [i for i in candidates if predicate(relays[i])]
+        position_weights = index.weights(position)
+        weights = [position_weights[i] for i in candidates]
+        total = sum(weights)
+        if total <= 0:
+            return None
+        draw = self.rng.uniform(0.0, total)
+        # First candidate whose running sum reaches the draw; the last one
+        # if rounding leaves the draw above the final running sum.
+        chosen = bisect_left(list(accumulate(weights)), draw)
+        return relays[candidates[min(chosen, len(candidates) - 1)]]
 
     def build_circuit(
         self,

@@ -1,0 +1,73 @@
+"""Reference Tor relay selection: a full scan of the consensus per pick.
+
+This is the selection :class:`repro.tor.pathsel.PathSelector` made before
+it compiled each consensus into a :class:`repro.tor.index.RelayIndex`:
+every running relay is tested against every excluded relay, then a
+bandwidth-weighted draw scans the candidates in consensus order.  It
+consumes the RNG exactly as the indexed pick does, so both return the
+same relay from cloned generators.  One known difference is kept as it
+was: when the draw lands on 0.0, or past the sequential running sum, the
+scan can return a candidate of zero weight.
+"""
+
+from __future__ import annotations
+
+import random
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
+
+from repro.tor.pathsel import PathSelector
+from repro.tor.relay import Relay
+
+__all__ = ["weighted_choice", "scan_pick", "scan_selection"]
+
+
+def weighted_choice(
+    rng: random.Random, relays: Sequence[Relay], weight: Callable[[Relay], float]
+) -> Optional[Relay]:
+    """Pick a relay with probability proportional to ``weight(relay)``.
+
+    Returns None when no relay has positive weight.
+    """
+    weights = [max(0.0, weight(r)) for r in relays]
+    total = sum(weights)
+    if total <= 0:
+        return None
+    pick = rng.uniform(0.0, total)
+    acc = 0.0
+    for relay, w in zip(relays, weights):
+        acc += w
+        if pick <= acc:
+            return relay
+    return relays[-1]
+
+
+def scan_pick(
+    selector: PathSelector,
+    position: str,
+    exclude: Sequence[Relay] = (),
+    predicate: Optional[Callable[[Relay], bool]] = None,
+) -> Optional[Relay]:
+    """``selector.pick(position, exclude, predicate)`` by full scan."""
+    consensus = selector.consensus
+    candidates = [
+        r
+        for r in consensus.running()
+        if all(selector.constraints.compatible(r, other) for other in exclude)
+        and (predicate is None or predicate(r))
+    ]
+    return weighted_choice(
+        selector.rng, candidates, lambda r: consensus.position_weight(r, position)
+    )
+
+
+@contextmanager
+def scan_selection() -> Iterator[None]:
+    """Run every ``PathSelector.pick`` through :func:`scan_pick` while
+    active, so ``build_circuit`` and ``GuardManager`` use the reference."""
+    indexed = PathSelector.pick
+    PathSelector.pick = scan_pick
+    try:
+        yield
+    finally:
+        PathSelector.pick = indexed

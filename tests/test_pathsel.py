@@ -7,7 +7,7 @@ import pytest
 
 from repro.tor.circuit import Circuit
 from repro.tor.consensus import Consensus, Position
-from repro.tor.pathsel import GuardManager, PathConstraints, PathSelector, weighted_choice
+from repro.tor.pathsel import GuardManager, PathConstraints, PathSelector
 from repro.tor.relay import Flag, Relay
 
 DAY = 86_400.0
@@ -36,26 +36,61 @@ def build_consensus(n_guards=6, n_exits=6, n_middle=8):
     return Consensus(relays)
 
 
+class FixedDrawRandom(random.Random):
+    """Every ``uniform(a, b)`` draw lands at ``a + (b - a) * fraction``."""
+
+    def __init__(self, fraction):
+        super().__init__(0)
+        self.fraction = fraction
+
+    def random(self):
+        return self.fraction
+
+
 class TestWeightedChoice:
     def test_proportionality(self):
-        rng = random.Random(0)
-        relays = [relay("A", bw=100), relay("B", bw=300, address="10.1.0.1")]
+        consensus = Consensus([relay("A", bw=100), relay("B", bw=300, address="10.1.0.1")])
+        selector = PathSelector(consensus, random.Random(0))
         counts = Counter()
         for _ in range(4000):
-            counts[weighted_choice(rng, relays, lambda r: r.bandwidth).fingerprint] += 1
+            counts[selector.pick(Position.MIDDLE).fingerprint] += 1
         ratio = counts["B"] / counts["A"]
         assert 2.4 < ratio < 3.7  # expect ~3.0
 
     def test_zero_weights_yield_none(self):
         rng = random.Random(0)
-        assert weighted_choice(rng, [relay("A")], lambda r: 0.0) is None
-        assert weighted_choice(rng, [], lambda r: 1.0) is None
+        state = rng.getstate()
+        # No relay carries guard weight, so nothing qualifies and nothing
+        # is drawn.
+        no_guards = Consensus([relay("A"), relay("B", address="10.1.0.1")])
+        assert PathSelector(no_guards, rng).pick(Position.GUARD) is None
+        # Every candidate excluded.
+        only = Consensus([relay("A")])
+        assert PathSelector(only, rng).pick(Position.MIDDLE, exclude=[only.relay("A")]) is None
+        assert rng.getstate() == state
 
-    def test_negative_weights_treated_as_zero(self):
-        rng = random.Random(0)
-        relays = [relay("A"), relay("B", address="10.1.0.1")]
-        chosen = {weighted_choice(rng, relays, lambda r: -1 if r.fingerprint == "A" else 1).fingerprint for _ in range(50)}
-        assert chosen == {"B"}
+    def test_zero_draw_never_picks_a_zero_weight_relay(self):
+        # The middle-only relay comes first in consensus order: a draw of
+        # exactly 0.0 must still land on a relay with guard weight.
+        consensus = Consensus(
+            [
+                relay("M", bw=500, address="10.0.0.1"),
+                relay("G", {Flag.GUARD}, bw=500, address="10.1.0.1"),
+                relay("E", {Flag.EXIT}, bw=500, address="10.2.0.1"),
+            ]
+        )
+        assert consensus.position_weight(consensus.relay("M"), Position.GUARD) == 0.0
+        chosen = PathSelector(consensus, FixedDrawRandom(0.0)).pick(Position.GUARD)
+        assert chosen.fingerprint == "G"
+        manager = GuardManager(consensus, FixedDrawRandom(0.0), num_guards=1)
+        assert [g.fingerprint for g in manager.guards] == ["G"]
+
+    def test_draw_on_a_running_sum_picks_that_relay(self):
+        # Equal weights and a draw of exactly half the total: the draw
+        # reaches A's running sum, so A is chosen, not B.
+        consensus = Consensus([relay("A", bw=100), relay("B", bw=100, address="10.1.0.1")])
+        chosen = PathSelector(consensus, FixedDrawRandom(0.5)).pick(Position.MIDDLE)
+        assert chosen.fingerprint == "A"
 
 
 class TestCircuit:

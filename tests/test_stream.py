@@ -88,6 +88,19 @@ class TestIterWindows:
         )
         assert windows == []
 
+    def test_stops_at_duration(self):
+        read = []
+
+        def source():
+            for t in (5.0, 15.0, 30.0, 45.0, 55.0):
+                read.append(t)
+                yield ev(t)
+
+        windows = list(iter_windows(source(), window_seconds=10.0, duration=30.0))
+        assert [(w.index, len(w)) for w in windows] == [(0, 1), (1, 1), (2, 0)]
+        # The first event past the span ends the read.
+        assert read == [5.0, 15.0, 30.0]
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             list(iter_windows([], window_seconds=0.0))
@@ -122,6 +135,15 @@ class TestReplay:
         assert report.resumed_windows == 0
         assert report.end == 30.0
         assert consumer.total == 3
+
+    def test_events_past_duration_are_not_replayed(self):
+        source = _Events([0.0, 15.0, 25.0, 35.0], duration=20.0)
+        consumer = CountingConsumer()
+        report = replay(source, consumer, window_seconds=10.0)
+        assert report.windows == 2
+        assert report.records == 2
+        assert report.end == 20.0
+        assert consumer.counts == [(0, 0.0, 10.0, 1), (1, 10.0, 20.0, 1)]
 
     def test_source_attrs_become_defaults(self):
         source = _Events([0.0], duration=25.0)
@@ -223,3 +245,26 @@ class TestTraceReplay:
         assert report.windows == round(stream.duration / DAY)
         assert report.records == consumer.total > 0
         assert report.peak_window_events <= consumer.total
+
+
+class TestFollow:
+    def test_applies_one_window_per_day_of_duration(self):
+        from repro.serve.follow import LinkEvent, follow
+
+        events = [
+            LinkEvent(time=day * DAY + 60.0, op="down" if day % 2 == 0 else "up", link=(1, 2))
+            for day in range(31)
+        ]
+        applied = []
+
+        def apply(batch):
+            applied.append(batch)
+            return {"epoch": len(applied)}
+
+        report, feed = follow(events, apply, window_seconds=DAY, duration=2 * DAY)
+        assert report.windows == 2
+        assert feed.windows == 2 and feed.epoch == 2
+        assert applied == [
+            [{"op": "down", "link": [1, 2]}],
+            [{"op": "up", "link": [1, 2]}],
+        ]
