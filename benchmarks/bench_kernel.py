@@ -2,28 +2,32 @@
 """Tracked routing-kernel benchmark suite -> ``results/BENCH_kernel.json``.
 
 Sweeps graph sizes x workloads x kernels and emits a machine-readable
-document so the perf trajectory of ``compute_routes`` is pinned from this
-PR onward (see ``docs/benchmarks.md`` for the schema).  Every run also
-cross-checks the two kernels outcome-for-outcome and exits non-zero on any
-divergence — the CI smoke job runs the smallest sweep size purely for that
-gate.
+document so the perf trajectory of the routing kernel is pinned (see
+``docs/benchmarks.md`` for the schema).  Every run also cross-checks
+:func:`compute_routes_fast`, the engine and every multi-origin batch row
+against the path-tuple reference kernel in ``tests/oracle/routing.py``,
+outcome for outcome, and exits non-zero on any divergence — the CI smoke
+job runs the smallest sweep size purely for that gate.
 
-Workloads, per graph size and per kernel (``legacy`` | ``fast``):
+Workloads, per graph size and per kernel (``oracle`` | ``fast``):
 
 - ``full_route``      one origin announcing, every AS routed (the §3.2
                       capture-set shape; the acceptance criterion's 3x
                       target applies here at the largest size);
 - ``targeted_query``  single (src, dst) path queries with the early exit
                       (the trace engine's vantage-point shape);
-- ``paths_many``      a cold engine batching clients x guards pairs (the
-                      resilience-table shape);
+- ``paths_many``      clients x guards pairs grouped by destination, one
+                      targeted run per destination: a cold engine for
+                      ``fast``, the same grouping by hand for ``oracle``
+                      (the resilience-table shape);
 - ``multi_origin``    100 origins routed in one shared propagation
                       (``compute_routes_many``, kernel ``batch``) vs. a
                       loop of ``compute_routes_fast`` runs (kernel
                       ``fast``) — the resilience/surveillance sweep
                       substrate; the acceptance criterion's 5x target
                       applies at the largest size, and every batch row is
-                      checked bit-for-bit against its per-origin run.
+                      checked bit-for-bit against its per-origin run and
+                      route for route against the oracle.
 
 Usage::
 
@@ -39,30 +43,43 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.asgraph import (  # noqa: E402
     RoutingEngine,
     TopologyConfig,
-    compute_routes,
     compute_routes_fast,
     compute_routes_many,
     generate_topology,
 )
-from repro.asgraph.batch import VECTOR_BACKEND  # noqa: E402
 from repro.asgraph.index import graph_index  # noqa: E402
 from repro.serve.api import PathBatch  # noqa: E402
+from tests.oracle.routing import compute_routes  # noqa: E402
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SIZES = [500, 1500, 4000]
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "results",
     "BENCH_kernel.json",
 )
-KERNELS: Dict[str, Callable] = {"legacy": compute_routes, "fast": compute_routes_fast}
+KERNELS: Dict[str, Callable] = {"oracle": compute_routes, "fast": compute_routes_fast}
+
+
+def _oracle_paths_many(graph, pairs) -> Dict[Tuple[int, int], object]:
+    """What a cold engine does for ``paths_many``, on the oracle: one
+    targeted run per destination with the merged sources as targets."""
+    by_dst: Dict[int, set] = {}
+    for src, dst in pairs:
+        by_dst.setdefault(dst, set()).add(src)
+    outcomes = {
+        dst: compute_routes(graph, [dst], targets=frozenset(srcs))
+        for dst, srcs in sorted(by_dst.items())
+    }
+    return {(src, dst): outcomes[dst].path(src) for src, dst in pairs}
 
 
 def _time(fn: Callable[[], object], repeats: int) -> Dict[str, float]:
@@ -107,25 +124,21 @@ def _build_world(num_ases: int, seed: int):
 
 
 def _check_equivalence(graph, origin, queries, pairs) -> List[str]:
-    """Cross-kernel equivalence on this size's workloads; returns defects."""
+    """Equivalence with the oracle on this size's workloads; returns defects."""
     defects: List[str] = []
-    legacy_full = compute_routes(graph, [origin])
+    oracle_full = compute_routes(graph, [origin])
     fast_full = compute_routes_fast(graph, [origin])
-    if dict(legacy_full.items()) != dict(fast_full.items()):
+    if dict(oracle_full.items()) != dict(fast_full.items()):
         defects.append(f"full_route outcome diverges for origin {origin}")
     for src, dst in queries:
         a = compute_routes(graph, [dst], targets=frozenset((src,))).path(src)
         b = compute_routes_fast(graph, [dst], targets=frozenset((src,))).path(src)
         if a != b:
             defects.append(f"targeted_query path diverges for ({src}, {dst}): {a} != {b}")
-    legacy_paths = RoutingEngine(kernel="legacy").paths_many(
-        graph, PathBatch.of(pairs)
-    ).mapping()
-    fast_paths = RoutingEngine(kernel="fast").paths_many(
-        graph, PathBatch.of(pairs)
-    ).mapping()
-    if legacy_paths != fast_paths:
-        bad = [k for k in legacy_paths if legacy_paths[k] != fast_paths[k]][:5]
+    oracle_paths = _oracle_paths_many(graph, pairs)
+    fast_paths = RoutingEngine().paths_many(graph, PathBatch.of(pairs)).mapping()
+    if oracle_paths != fast_paths:
+        bad = [k for k in oracle_paths if oracle_paths[k] != fast_paths[k]][:5]
         defects.append(f"paths_many diverges on {len(bad)}+ pairs, e.g. {bad}")
     return defects
 
@@ -133,12 +146,17 @@ def _check_equivalence(graph, origin, queries, pairs) -> List[str]:
 def _check_batch_equivalence(graph, batch_origins) -> List[str]:
     """Bit-for-bit per-origin equivalence of the multi-origin batch kernel
     (lengths, parents, kinds; seeds at routed nodes — single-seed batch
-    rows share one all-zeros seed array, never read for unrouted nodes)."""
+    rows share one all-zeros seed array, never read for unrouted nodes),
+    and route-for-route equivalence of every row with the oracle."""
     defects: List[str] = []
     batch = compute_routes_many(graph, [(o,) for o in batch_origins])
     for row, origin in enumerate(batch_origins):
         fast = compute_routes_fast(graph, (origin,))
         got = batch.outcome(row)
+        if dict(got.items()) != dict(compute_routes(graph, [origin]).items()):
+            defects.append(
+                f"multi_origin row {row} (origin {origin}) diverges from the oracle"
+            )
         for i in range(len(fast._plen)):
             if (
                 int(got._plen[i]) != fast._plen[i]
@@ -171,9 +189,11 @@ def run_suite(sizes: List[int], repeats: int, seed: int) -> Dict:
                     k(graph, [dst], targets=frozenset((src,))).path(src)
                     for src, dst in queries
                 ],
-                "paths_many": lambda kn=kernel_name: RoutingEngine(
-                    kernel=kn
-                ).paths_many(graph, PathBatch.of(pairs)),
+                "paths_many": (
+                    (lambda: _oracle_paths_many(graph, pairs))
+                    if kernel is compute_routes
+                    else lambda: RoutingEngine().paths_many(graph, PathBatch.of(pairs))
+                ),
             }
             for workload, fn in workloads.items():
                 row = {
@@ -193,7 +213,7 @@ def run_suite(sizes: List[int], repeats: int, seed: int) -> Dict:
                     f" best {row['seconds_best'] * 1000:8.2f} ms"
                 )
         # multi_origin pits the batch kernel against a loop of fast runs
-        # (the legacy kernel is not in this race; "fast" is the baseline).
+        # (the oracle is not in this race; "fast" is the baseline).
         for impl_name, fn in (
             (
                 "fast",
@@ -213,7 +233,6 @@ def run_suite(sizes: List[int], repeats: int, seed: int) -> Dict:
                 "workload": "multi_origin",
                 "kernel": impl_name,
                 "queries": len(batch_origins),
-                "backend": VECTOR_BACKEND,
             }
             row.update(_time(fn, repeats))
             results.append(row)
@@ -234,7 +253,7 @@ def run_suite(sizes: List[int], repeats: int, seed: int) -> Dict:
                 {
                     "num_ases": num_ases,
                     "workload": workload,
-                    "speedup": pair["legacy"] / pair["fast"] if pair["fast"] else None,
+                    "speedup": pair["oracle"] / pair["fast"] if pair["fast"] else None,
                 }
             )
         pair = {
@@ -314,9 +333,7 @@ def main(argv=None) -> int:
         for e in document["speedups"]
         if e["num_ases"] == largest and e["workload"] == "multi_origin"
     )
-    # The 5x target assumes the vector backend; the loop fallback (no
-    # numpy) still runs the equivalence gate but cannot race itself.
-    if not args.smoke and VECTOR_BACKEND == "vector" and multi < 5.0:
+    if not args.smoke and multi < 5.0:
         print(
             f"acceptance criterion FAILED: multi_origin speedup {multi:.2f}x"
             f" < 5x at n={largest}",

@@ -2,20 +2,20 @@
 """Tracked population-kernel benchmark -> ``results/BENCH_population.json``.
 
 Races the struct-of-arrays population kernel
-(:mod:`repro.core.population`) against the per-user pure-python loop
-tier, gates bit-for-bit equivalence between the tiers, across shardings,
-and against the ``simulate_user_population`` reference wrapper, and
-records the headline population-scale number: 1M users x a month of
-relay churn end-to-end on one machine, with throughput in user-days/sec
-(see ``docs/benchmarks.md`` for the schema).
+(:mod:`repro.core.population`) against the per-user pure-python
+reference in ``tests/oracle/population.py``, gates bit-for-bit
+equivalence with that reference across shardings and for the
+``simulate_user_population`` wrapper, and records the headline
+population-scale number: 1M users x a month of relay churn end-to-end on
+one machine, with throughput in user-days/sec (see
+``docs/benchmarks.md`` for the schema).
 
 Workloads:
 
-- ``reference_loop``  the per-user pure-python tier at the race size —
-                      the baseline the ISSUE's 10x criterion applies to;
-- ``soa_vector``      the numpy struct-of-arrays tier, same inputs;
-- ``scale_month``     1M users x 30 days of churn, vector tier (full
-                      mode only) — ROADMAP item 5's gate.
+- ``reference_loop``  the per-user reference at the race size — the
+                      baseline the 10x criterion applies to;
+- ``soa_vector``      the numpy struct-of-arrays kernel, same inputs;
+- ``scale_month``     1M users x 30 days of churn (full mode only).
 
 Usage::
 
@@ -32,18 +32,17 @@ import sys
 import time
 from typing import Dict, List
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from repro.core.population import (  # noqa: E402
-    POPULATION_BACKEND,
-    simulate_population,
-)
+from repro.core.population import simulate_population  # noqa: E402
 from repro.core.usermetrics import simulate_user_population  # noqa: E402
 from repro.scenario import Scenario, ScenarioConfig  # noqa: E402
 from repro.tor.churn import ChurnConfig, evolve_consensus  # noqa: E402
 from repro.tor.clientdist import ClientASDistribution  # noqa: E402
+from tests.oracle.population import loop_tier  # noqa: E402
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "results",
@@ -67,6 +66,7 @@ def _build_world(seed: int):
 
 
 def _simulate(scenario, consensus, clients, dests, adversaries, **kwargs):
+    """One run of the shipped kernel."""
     return simulate_population(
         scenario.graph,
         consensus,
@@ -77,6 +77,12 @@ def _simulate(scenario, consensus, clients, dests, adversaries, **kwargs):
         engine=scenario.engine,
         **kwargs,
     )
+
+
+def _simulate_reference(*args, **kwargs):
+    """One run of the per-user reference, in this process."""
+    with loop_tier():
+        return _simulate(*args, **kwargs)
 
 
 def _percentile_fingerprint(report) -> Dict[str, object]:
@@ -103,21 +109,35 @@ def _check_equivalence(scenario, client_pool, dests, adversaries, days, seed) ->
     defects: List[str] = []
     roster = [client_pool[i % len(client_pool)] for i in range(EQUIV_USERS)]
     kwargs = dict(days=days, circuits_per_day=6, seed=seed, keep_outcomes=True)
-    reference = _simulate(
-        scenario, scenario.consensus, roster, dests, adversaries,
-        backend="loop", **kwargs
+    reference = _simulate_reference(
+        scenario, scenario.consensus, roster, dests, adversaries, **kwargs
     )
-    sharded = _simulate(
-        scenario, scenario.consensus, roster, dests, adversaries,
-        backend="loop", block_size=101, jobs=2, **kwargs
-    )
-    if _percentile_fingerprint(sharded) != _percentile_fingerprint(reference):
-        defects.append(
-            "sharded loop run's aggregate percentiles diverge from the "
-            "unsharded reference"
-        )
-    if sharded.outcomes != reference.outcomes:
-        defects.append("sharded loop run's per-user outcomes diverge")
+    for label, report in (
+        (
+            "sharded vector run (2 jobs)",
+            _simulate(
+                scenario, scenario.consensus, roster, dests, adversaries,
+                block_size=101, jobs=2, **kwargs
+            ),
+        ),
+        (
+            "vector run",
+            _simulate(
+                scenario, scenario.consensus, roster, dests, adversaries,
+                block_size=77, **kwargs
+            ),
+        ),
+    ):
+        if report.outcomes != reference.outcomes:
+            defects.append(
+                f"{label}'s per-user first-compromise days diverge from the "
+                "per-user reference"
+            )
+        if _percentile_fingerprint(report) != _percentile_fingerprint(reference):
+            defects.append(
+                f"{label}'s aggregate percentiles diverge from the per-user "
+                "reference"
+            )
     wrapper = simulate_user_population(
         scenario.graph, scenario.consensus, scenario.relay_asn,
         roster, dests, adversaries,
@@ -125,35 +145,20 @@ def _check_equivalence(scenario, client_pool, dests, adversaries, days, seed) ->
     )
     if wrapper.outcomes != reference.outcomes:
         defects.append(
-            "simulate_user_population wrapper diverges from the kernel"
+            "simulate_user_population wrapper diverges from the per-user "
+            "reference"
         )
-    if POPULATION_BACKEND == "vector":
-        vector = _simulate(
-            scenario, scenario.consensus, roster, dests, adversaries,
-            backend="vector", block_size=77, **kwargs
-        )
-        if vector.outcomes != reference.outcomes:
-            defects.append(
-                "vector tier's per-user first-compromise days diverge from "
-                "the loop reference"
-            )
-        if _percentile_fingerprint(vector) != _percentile_fingerprint(reference):
-            defects.append(
-                "vector tier's aggregate percentiles diverge from the loop "
-                "reference"
-            )
-        dist = ClientASDistribution.zipf(client_pool, exponent=1.0)
-        skew_kwargs = dict(kwargs, num_users=EQUIV_USERS)
-        skew_loop = _simulate(
-            scenario, scenario.consensus, dist, dests, adversaries,
-            backend="loop", **skew_kwargs
-        )
-        skew_vector = _simulate(
-            scenario, scenario.consensus, dist, dests, adversaries,
-            backend="vector", block_size=53, **skew_kwargs
-        )
-        if skew_vector.outcomes != skew_loop.outcomes:
-            defects.append("skewed-roster runs diverge between tiers")
+    dist = ClientASDistribution.zipf(client_pool, exponent=1.0)
+    skew_kwargs = dict(kwargs, num_users=EQUIV_USERS)
+    skew_reference = _simulate_reference(
+        scenario, scenario.consensus, dist, dests, adversaries, **skew_kwargs
+    )
+    skew_vector = _simulate(
+        scenario, scenario.consensus, dist, dests, adversaries,
+        block_size=53, **skew_kwargs
+    )
+    if skew_vector.outcomes != skew_reference.outcomes:
+        defects.append("skewed-roster run diverges from the per-user reference")
     return defects
 
 
@@ -179,16 +184,15 @@ def run_suite(smoke: bool, seed: int) -> Dict:
         num_users=RACE_USERS, days=race_days, circuits_per_day=6,
         seed=seed, keep_outcomes=False,
     )
-    print(f"racing {RACE_USERS} users x {race_days} days, loop tier ...")
+    print(f"racing {RACE_USERS} users x {race_days} days, per-user reference ...")
     loop_report, loop_seconds = _timed(
-        lambda: _simulate(
+        lambda: _simulate_reference(
             scenario, scenario.consensus, dist, dests, adversaries,
-            backend="loop", **race_kwargs
+            **race_kwargs
         )
     )
     results.append({
         "workload": "reference_loop",
-        "backend": "loop",
         "users": RACE_USERS,
         "days": race_days,
         "seconds": loop_seconds,
@@ -200,34 +204,32 @@ def run_suite(smoke: bool, seed: int) -> Dict:
         f"  ({RACE_USERS * race_days / loop_seconds:12,.0f} user-days/sec)"
     )
 
-    speedup = None
-    if POPULATION_BACKEND == "vector":
-        vector_report, vector_seconds = _timed(
-            lambda: _simulate(
-                scenario, scenario.consensus, dist, dests, adversaries,
-                backend="vector", **race_kwargs
-            )
+    vector_report, vector_seconds = _timed(
+        lambda: _simulate(
+            scenario, scenario.consensus, dist, dests, adversaries,
+            **race_kwargs
         )
-        results.append({
-            "workload": "soa_vector",
-            "backend": "vector",
-            "users": RACE_USERS,
-            "days": race_days,
-            "seconds": vector_seconds,
-            "user_days_per_sec": RACE_USERS * race_days / vector_seconds,
-            "fraction_compromised": vector_report.fraction_compromised,
-        })
-        print(
-            f"  vector {vector_seconds:8.2f} s"
-            f"  ({RACE_USERS * race_days / vector_seconds:12,.0f} user-days/sec)"
+    )
+    results.append({
+        "workload": "soa_vector",
+        "users": RACE_USERS,
+        "days": race_days,
+        "seconds": vector_seconds,
+        "user_days_per_sec": RACE_USERS * race_days / vector_seconds,
+        "fraction_compromised": vector_report.fraction_compromised,
+    })
+    print(
+        f"  vector {vector_seconds:8.2f} s"
+        f"  ({RACE_USERS * race_days / vector_seconds:12,.0f} user-days/sec)"
+    )
+    if vector_report.aggregate != loop_report.aggregate:
+        defects.append(
+            f"race aggregates diverge from the per-user reference at "
+            f"{RACE_USERS} users"
         )
-        if vector_report.aggregate != loop_report.aggregate:
-            defects.append(
-                f"race aggregates diverge between tiers at {RACE_USERS} users"
-            )
-        speedup = loop_seconds / vector_seconds if vector_seconds else None
+    speedup = loop_seconds / vector_seconds if vector_seconds else None
 
-    if not smoke and POPULATION_BACKEND == "vector":
+    if not smoke:
         print(
             f"scale workload: {SCALE_USERS} users x {SCALE_DAYS} days of "
             "relay churn ..."
@@ -239,12 +241,11 @@ def run_suite(smoke: bool, seed: int) -> Dict:
             lambda: _simulate(
                 scenario, series, dist, dests, adversaries,
                 num_users=SCALE_USERS, days=SCALE_DAYS, circuits_per_day=6,
-                seed=seed, keep_outcomes=False, backend="vector",
+                seed=seed, keep_outcomes=False,
             )
         )
         results.append({
             "workload": "scale_month",
-            "backend": "vector",
             "users": SCALE_USERS,
             "days": SCALE_DAYS,
             "churn": True,
@@ -265,7 +266,6 @@ def run_suite(smoke: bool, seed: int) -> Dict:
         "config": {
             "seed": seed,
             "smoke": smoke,
-            "backend": POPULATION_BACKEND,
             "equiv_users": EQUIV_USERS,
             "race_users": RACE_USERS,
             "race_days": race_days,
@@ -313,10 +313,11 @@ def main(argv=None) -> int:
         return 1
     speedup = document["speedups"][0]["speedup"]
     if speedup is not None:
-        print(f"speedup vector vs loop at {RACE_USERS} users: {speedup:.2f}x")
-    # The 10x criterion assumes the vector backend; the loop fallback (no
-    # numpy) still runs the equivalence gates but cannot race itself.
-    if POPULATION_BACKEND == "vector" and (speedup is None or speedup < 10.0):
+        print(
+            f"speedup vector vs per-user reference at {RACE_USERS} users: "
+            f"{speedup:.2f}x"
+        )
+    if speedup is None or speedup < 10.0:
         print(
             f"acceptance criterion FAILED: SoA speedup "
             f"{speedup if speedup is not None else 0:.2f}x < 10x at "

@@ -6,7 +6,8 @@ full-topology (or at best one targeted) kernel run per query; the engine
 collapses it to one run per distinct guard origin, answered from cache on
 every revisit.  These benchmarks pin the speedup and the acceptance
 criteria: the cache hit counter must actually fire, and the batched
-answers must be byte-identical to per-pair :func:`as_path`.
+answers must be byte-identical to per-pair :func:`as_path` and to the
+reference kernel in ``tests/oracle/routing.py``.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from repro.asgraph import RoutingEngine, TopologyConfig, generate_topology
 from repro.asgraph.routing import as_path
 from repro.serve.api import PathBatch
+from tests.oracle.routing import compute_routes
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,8 @@ def test_perf_guard_sweep_engine_batched(benchmark, sweep_world):
     rng = random.Random(17)
     for src, dst in rng.sample(pairs, 25):
         assert result[(src, dst)] == as_path(graph, src, dst)
+        oracle = compute_routes(graph, [dst], targets=frozenset((src,)))
+        assert result[(src, dst)] == oracle.path(src)
 
 
 def test_perf_guard_sweep_warm_cache(benchmark, sweep_world):
@@ -63,13 +67,16 @@ def test_perf_guard_sweep_warm_cache(benchmark, sweep_world):
     engine = RoutingEngine()
     batch = PathBatch.of(pairs)
     engine.paths_many(graph, batch)  # warm
+    warm = engine.stats()
 
     result = benchmark(lambda: engine.paths_many(graph, batch).mapping())
 
     assert len(result) == len(pairs)
     stats = engine.stats()
-    assert stats.hits > 0, "acceptance criterion: cache hit counter fired"
-    assert stats.hit_rate > 0.5
+    # Every timed call is answered from the cache, however many rounds the
+    # benchmark ran (one under --benchmark-disable).
+    assert stats.misses == warm.misses
+    assert stats.hits > warm.hits, "acceptance criterion: cache hit counter fired"
 
 
 def test_perf_repeated_hijack_outcome(benchmark, sweep_world):

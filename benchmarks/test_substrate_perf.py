@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.analysis.prefixes import Prefix, PrefixTrie, parse_ip
-from repro.asgraph import TopologyConfig, compute_routes, generate_topology
+from repro.asgraph import TopologyConfig, compute_routes_fast, generate_topology
 from repro.bgpsim.simulator import BGPSimulator, SimulatorConfig
 from repro.traffic.circuitsim import CircuitTransfer, TransferConfig
 
@@ -22,20 +22,20 @@ def graph_1000():
 
 
 def test_perf_compute_routes_1000_ases(benchmark, graph_1000):
-    outcome = benchmark(compute_routes, graph_1000, [500])
+    outcome = benchmark(compute_routes_fast, graph_1000, [500])
     assert len(outcome) == 1000
 
 
 def test_perf_compute_routes_with_targets(benchmark, graph_1000):
     targets = frozenset(range(8, 80))
     outcome = benchmark(
-        compute_routes, graph_1000, [500], None, None, targets
+        compute_routes_fast, graph_1000, [500], None, None, targets
     )
     assert all(outcome.path(t) is not None for t in targets)
 
 
 def test_perf_hijack_capture_set(benchmark, graph_1000):
-    outcome = benchmark(compute_routes, graph_1000, [500, 700])
+    outcome = benchmark(compute_routes_fast, graph_1000, [500, 700])
     assert outcome.capture_set(700)
 
 

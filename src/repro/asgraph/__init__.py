@@ -3,19 +3,14 @@
 from repro.asgraph.relationships import Relationship, RouteKind
 from repro.asgraph.topology import ASGraph
 from repro.asgraph.generator import TopologyConfig, generate_topology
-from repro.asgraph.routing import Route, RoutingOutcome, as_path, compute_routes
+from repro.asgraph.routing import Route, RoutingOutcome, as_path
 from repro.asgraph.index import GraphIndex, graph_index
 from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
 from repro.asgraph.batch import BatchOutcome, compute_routes_many
-from repro.asgraph.incremental import (
-    DynamicRoutingSession,
-    RecomputeSession,
-    SessionStats,
-)
+from repro.asgraph.incremental import DynamicRoutingSession, SessionStats
 from repro.asgraph.engine import (
     EngineStats,
     RoutingEngine,
-    resolve_kernel,
     shared_engine,
     set_shared_engine,
 )
@@ -31,7 +26,6 @@ __all__ = [
     "Route",
     "RoutingOutcome",
     "as_path",
-    "compute_routes",
     "GraphIndex",
     "graph_index",
     "CompactOutcome",
@@ -39,11 +33,9 @@ __all__ = [
     "BatchOutcome",
     "compute_routes_many",
     "DynamicRoutingSession",
-    "RecomputeSession",
     "SessionStats",
     "EngineStats",
     "RoutingEngine",
-    "resolve_kernel",
     "shared_engine",
     "set_shared_engine",
     "InferenceResult",

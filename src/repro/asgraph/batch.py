@@ -30,12 +30,9 @@ naturally); forged-path announcements are not supported here — use
 :class:`BatchOutcome` whose per-origin views are zero-copy
 :class:`~repro.asgraph.fastpath.CompactOutcome` rows, so everything
 downstream of the existing ``RoutingOutcome`` API runs unchanged.
-
-When numpy is unavailable the same API transparently falls back to
-looping :func:`compute_routes_fast` per row (``VECTOR_BACKEND`` tells
-you which mode is active); results are identical either way, which
-``tests/test_batch.py`` and ``benchmarks/bench_kernel.py`` pin
-bit-for-bit.
+Every row equals its own :func:`compute_routes_fast` run bit for bit,
+which ``tests/test_batch.py`` and ``benchmarks/bench_kernel.py`` pin
+against the path-tuple reference kernel in ``tests/oracle/routing.py``.
 """
 
 from __future__ import annotations
@@ -54,20 +51,14 @@ from typing import (
     Union,
 )
 
-from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
+import numpy as np
+
+from repro.asgraph.fastpath import CompactOutcome
 from repro.asgraph.index import GraphIndex, graph_index
 from repro.asgraph.relationships import RouteKind
 from repro.asgraph.topology import ASGraph
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
-    _np = None
-
-__all__ = ["BatchOutcome", "compute_routes_many", "VECTOR_BACKEND"]
-
-#: "vector" when the numpy kernel will be used by default, else "loop".
-VECTOR_BACKEND = "vector" if _np is not None else "loop"
+__all__ = ["BatchOutcome", "compute_routes_many"]
 
 _ORIGIN = int(RouteKind.ORIGIN)
 _CUSTOMER = int(RouteKind.CUSTOMER)
@@ -76,7 +67,7 @@ _PROVIDER = int(RouteKind.PROVIDER)
 
 #: One row of a batch: a single origin ASN or an iterable of origin ASNs
 #: (announced as plain single-hop paths, like the list form of
-#: ``compute_routes``' ``origins`` argument).
+#: ``compute_routes_fast``' ``origins`` argument).
 _SpecArg = Union[int, Iterable[int]]
 _TargetsArg = Union[
     None, FrozenSet[int], Sequence[Optional[FrozenSet[int]]]
@@ -124,10 +115,10 @@ def _normalise_targets(
 class BatchOutcome:
     """Per-origin routing outcomes over one shared multi-origin pass.
 
-    ``outcome(r)`` materialises row ``r`` as a
-    :class:`~repro.asgraph.fastpath.CompactOutcome` view — zero-copy in
-    vector mode (the row arrays alias the batch block, so a cached view
-    keeps the block alive), memoised either way.
+    ``outcome(r)`` materialises row ``r`` as a memoised
+    :class:`~repro.asgraph.fastpath.CompactOutcome` view — zero-copy (the
+    row arrays alias the batch block, so a cached view keeps the block
+    alive).
     """
 
     __slots__ = (
@@ -164,7 +155,7 @@ class BatchOutcome:
         specs: Sequence[Tuple[int, ...]],
         outcomes: Sequence[CompactOutcome],
     ) -> "BatchOutcome":
-        """Wrap per-row outcomes computed by the loop fallback."""
+        """Wrap per-row outcomes computed by separate batches."""
         batch = cls(gi, specs, None, None, None, None)
         batch._views = dict(enumerate(outcomes))
         return batch
@@ -189,7 +180,7 @@ class BatchOutcome:
         if self._seed is not None:
             seed = self._seed[row]
         else:
-            seed = _np.zeros(self._gi.n, dtype=_np.int16)
+            seed = np.zeros(self._gi.n, dtype=np.int16)
         view = CompactOutcome(
             self._gi,
             plen,
@@ -198,7 +189,7 @@ class BatchOutcome:
             seed,
             tuple((asn,) for asn in spec),
             spec,
-            int(_np.count_nonzero(plen)),
+            int(np.count_nonzero(plen)),
         )
         self._views[row] = view
         return view
@@ -219,7 +210,6 @@ def compute_routes_many(
     excluded_links: Optional[Iterable[FrozenSet[int]]] = None,
     origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
     stage_timings: Optional[MutableMapping[str, float]] = None,
-    backend: Optional[str] = None,
 ) -> BatchOutcome:
     """All of ``origins`` routed in one shared propagation.
 
@@ -229,24 +219,13 @@ def compute_routes_many(
     batch-wide, ``origin_export_scopes`` applied to the rows whose
     announcement set contains the scoped ASN, and ``targets`` either one
     shared frozenset or a per-row sequence (``None`` entries disable the
-    early exit for that row).
-
-    ``backend`` forces ``"vector"`` (numpy, the default when available)
-    or ``"loop"`` (per-row :func:`compute_routes_fast`; the automatic
-    fallback when numpy is missing, and the only mode that accepts a
-    bare :class:`GraphIndex`-free graph requirement in reverse — the
-    loop needs the :class:`ASGraph`, the vector path is happy with
-    either).
+    early exit for that row).  ``graph`` may be the :class:`ASGraph` or
+    its compiled :class:`GraphIndex`.
     """
     specs = [_normalise_spec(spec) for spec in origins]
     if not specs:
         raise ValueError("at least one origin spec is required")
-    if isinstance(graph, GraphIndex):
-        graph_obj: Optional[ASGraph] = None
-        gi = graph
-    else:
-        graph_obj = graph
-        gi = graph_index(graph)
+    gi = graph if isinstance(graph, GraphIndex) else graph_index(graph)
     idx = gi.idx
     for spec in specs:
         for asn in spec:
@@ -266,33 +245,6 @@ def compute_routes_many(
             if asn not in all_seeds:
                 raise ValueError(f"export scope given for non-origin AS{asn}")
     tlist = _normalise_targets(targets, len(specs))
-
-    if backend is None:
-        backend = VECTOR_BACKEND
-    if backend not in ("vector", "loop"):
-        raise ValueError(f"unknown batch backend {backend!r}")
-    if backend == "vector" and _np is None:
-        raise RuntimeError("the vector batch backend requires numpy")
-
-    if backend == "loop":
-        if graph_obj is None:
-            raise RuntimeError(
-                "the loop fallback needs the ASGraph, not a bare GraphIndex"
-            )
-        outs = []
-        for row, spec in enumerate(specs):
-            row_scopes = {a: scopes[a] for a in spec if a in scopes}
-            outs.append(
-                compute_routes_fast(
-                    graph_obj,
-                    spec,
-                    excluded_links=excluded or None,
-                    origin_export_scopes=row_scopes or None,
-                    targets=tlist[row],
-                    stage_timings=stage_timings,
-                )
-            )
-        return BatchOutcome._from_outcomes(gi, specs, outs)
 
     # The flat cell index r*n + v must fit int32; chunk huge batches.
     max_rows = max(1, (2**31 - 1) // max(1, gi.n))
@@ -352,7 +304,6 @@ def _compute_many_vector(
     scopes: Mapping[int, FrozenSet[int]],
     stage_timings: Optional[MutableMapping[str, float]],
 ) -> BatchOutcome:
-    np = _np
     n = gi.n
     num_rows = len(specs)
     size = num_rows * n

@@ -1,4 +1,4 @@
-"""Shared memoizing facade over :func:`~repro.asgraph.routing.compute_routes`.
+"""Shared memoizing facade over :func:`~repro.asgraph.fastpath.compute_routes_fast`.
 
 Every experiment in this reproduction — temporal exposure (§3.1),
 hijack/interception capture sets (§3.2), asymmetric correlation endpoints
@@ -23,13 +23,11 @@ ablation replays the same scenario with one knob changed.  The
   timings, surfaced through :meth:`stats` (and ``repro.cli
   --engine-stats``).
 
-Two interchangeable pure kernels sit underneath: the flat-array
-parent-pointer fast path (:func:`repro.asgraph.fastpath
-.compute_routes_fast`, the default) and the reference implementation
-(:func:`repro.asgraph.routing.compute_routes`); ``kernel=``/
-``REPRO_KERNEL`` select between them.  The engine never changes what a
-route *is*, only how often and how fast it is computed.  The graph
-fingerprint is
+Underneath sit the flat-array kernel
+(:func:`~repro.asgraph.fastpath.compute_routes_fast`) and its multi-origin
+batch (:func:`~repro.asgraph.batch.compute_routes_many`).  The engine
+never changes what a route *is*, only how often and how fast it is
+computed.  The graph fingerprint is
 taken once per :class:`~repro.asgraph.topology.ASGraph` object — callers
 that mutate a graph after routing through the engine must call
 :meth:`invalidate` (the codebase convention is to express what-ifs via
@@ -39,7 +37,6 @@ that mutate a graph after routing through the engine must call
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 import warnings
@@ -58,41 +55,18 @@ from typing import (
 )
 
 from repro.asgraph.batch import compute_routes_many
-from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
-from repro.asgraph.incremental import DynamicRoutingSession, RecomputeSession
+from repro.asgraph.fastpath import compute_routes_fast
+from repro.asgraph.incremental import DynamicRoutingSession
 from repro.asgraph.index import graph_index
-from repro.asgraph.routing import (
-    RoutingOutcome,
-    _normalise_origins,
-    _OriginsArg,
-    compute_routes,
-)
+from repro.asgraph.routing import RoutingOutcome, _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
 __all__ = [
     "EngineStats",
     "RoutingEngine",
-    "resolve_kernel",
     "shared_engine",
     "set_shared_engine",
 ]
-
-#: Recognised kernel names -> the callable implementing compute_routes.
-_KERNELS = {"fast": compute_routes_fast, "legacy": compute_routes}
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve a kernel choice: explicit arg > ``REPRO_KERNEL`` env > fast.
-
-    ``kernel`` (and the env var) must be ``"fast"`` or ``"legacy"``.
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL") or "fast"
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"unknown routing kernel {kernel!r} (expected 'fast' or 'legacy')"
-        )
-    return kernel
 
 _Link = FrozenSet[int]
 #: (fingerprint, origins, excluded links, export scopes)
@@ -137,23 +111,12 @@ class EngineStats:
 
 
 class RoutingEngine:
-    """Process-wide memoizing route oracle (thread-safe).
+    """Process-wide memoizing route oracle (thread-safe)."""
 
-    ``kernel`` selects the route-computation implementation: ``"fast"``
-    (the flat-array parent-pointer kernel in
-    :mod:`repro.asgraph.fastpath`, the default) or ``"legacy"`` (the
-    reference tuple-per-route kernel in :mod:`repro.asgraph.routing`).
-    ``None`` defers to the ``REPRO_KERNEL`` environment variable, then to
-    ``"fast"``.  Both kernels are outcome-for-outcome equivalent; the
-    escape hatch exists for debugging and benchmarking.
-    """
-
-    def __init__(self, max_entries: int = 4096, kernel: Optional[str] = None) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.kernel = resolve_kernel(kernel)
-        self._compute = _KERNELS[self.kernel]
         self._lock = threading.Lock()
         #: base key -> [(targets or None, outcome), ...], LRU over base keys
         self._cache: "OrderedDict[_BaseKey, List[Tuple[Optional[FrozenSet[int]], RoutingOutcome]]]" = OrderedDict()
@@ -263,7 +226,8 @@ class RoutingEngine:
         origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
         targets: Optional[FrozenSet[int]] = None,
     ) -> RoutingOutcome:
-        """Memoized :func:`compute_routes` (same signature and semantics)."""
+        """Memoized :func:`~repro.asgraph.fastpath.compute_routes_fast`
+        (same signature and semantics)."""
         seeds = _normalise_origins(origins)
         excluded = frozenset(excluded_links) if excluded_links else frozenset()
         scopes = dict(origin_export_scopes) if origin_export_scopes else {}
@@ -280,7 +244,7 @@ class RoutingEngine:
         # the lock, racing concurrent outcome() calls.
         timings: Dict[str, float] = {}
         started = time.perf_counter()
-        outcome = self._compute(
+        outcome = compute_routes_fast(
             graph,
             seeds,
             excluded_links=excluded,
@@ -316,7 +280,7 @@ class RoutingEngine:
         Warm rows are answered from the LRU; the misses are routed
         together through
         :func:`~repro.asgraph.batch.compute_routes_many` (one shared
-        propagation under the fast kernel) and stored back under their
+        propagation) and stored back under their
         ordinary per-origin keys — a batch warms the cache exactly like
         the equivalent loop of :meth:`outcome` calls, and vice versa.
         """
@@ -430,17 +394,15 @@ class RoutingEngine:
     ) -> List[RoutingOutcome]:
         """Compute every row, no cache involvement.
 
-        Under the fast kernel, rows whose announcements are all plain
-        (every seed announces its own one-hop path) go through one
-        :func:`compute_routes_many` propagation; forged-path rows — and
-        every row under the legacy kernel — get one kernel run each.
+        Rows whose announcements are all plain (every seed announces its
+        own one-hop path) go through one :func:`compute_routes_many`
+        propagation; forged-path rows get one kernel run each.
         """
         results: List[Optional[RoutingOutcome]] = [None] * len(seeds_list)
         batchable = [
             i
             for i, seeds in enumerate(seeds_list)
-            if self.kernel == "fast"
-            and all(path == (asn,) for asn, path in seeds.items())
+            if all(path == (asn,) for asn, path in seeds.items())
         ]
         if batchable:
             specs = [tuple(sorted(seeds_list[i])) for i in batchable]
@@ -460,7 +422,7 @@ class RoutingEngine:
                 results[i] = batch.outcome(row)
         for i, seeds in enumerate(seeds_list):
             if results[i] is None:
-                results[i] = self._compute(
+                results[i] = compute_routes_fast(
                     graph,
                     seeds,
                     excluded_links=excluded,
@@ -578,21 +540,18 @@ class RoutingEngine:
             # The graph ships to each worker exactly once, via the pool
             # initializer (not re-pickled per chunk); workers compile their
             # GraphIndex once and reuse it across chunks.
-            shared_index = graph_index(graph) if self.kernel == "fast" else None
+            shared_index = graph_index(graph)
             started = time.perf_counter()
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_pool_worker,
-                initargs=(graph, self.kernel),
+                initargs=(graph,),
             ) as pool:
                 for chunk_result in pool.map(_compute_chunk, chunks):
                     for dst, targets, outcome, timings in chunk_result:
-                        if shared_index is not None and isinstance(
-                            outcome, CompactOutcome
-                        ):
-                            # Drop the worker's unpickled index copy in
-                            # favour of the parent's shared snapshot.
-                            outcome.rebind_index(shared_index)
+                        # Drop the worker's unpickled index copy in favour
+                        # of the parent's shared snapshot.
+                        outcome.rebind_index(shared_index)
                         outcomes[dst] = outcome
                         key = self._base_key(fp, {dst: (dst,)}, frozenset(), {})
                         with self._lock:
@@ -637,17 +596,10 @@ class RoutingEngine:
         origins: _OriginsArg,
         excluded_links: Optional[Iterable[_Link]] = None,
         origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-        *,
-        incremental: Optional[bool] = None,
-    ):
-        """A stateful routing session over one announcement set.
-
-        Returns a :class:`~repro.asgraph.incremental.DynamicRoutingSession`
-        (delta maintenance on churn events) for the fast kernel, or a
-        :class:`~repro.asgraph.incremental.RecomputeSession` (one kernel
-        run per state change, same API) for the legacy kernel.
-        ``incremental`` overrides the kernel-based choice — pass ``False``
-        to correctness-diff the incremental kernel against full recompute.
+    ) -> DynamicRoutingSession:
+        """A stateful routing session over one announcement set: a
+        :class:`~repro.asgraph.incremental.DynamicRoutingSession`, which
+        maintains its routes by delta on churn events.
 
         Sessions are live views, not cache entries: they share nothing with
         the outcome cache and are not invalidated by :meth:`invalidate`
@@ -655,20 +607,11 @@ class RoutingEngine:
         """
         with self._lock:
             self._sessions += 1
-        use_incremental = self.kernel == "fast" if incremental is None else incremental
-        if use_incremental:
-            return DynamicRoutingSession(
-                graph,
-                origins,
-                excluded_links=excluded_links,
-                origin_export_scopes=origin_export_scopes,
-            )
-        return RecomputeSession(
+        return DynamicRoutingSession(
             graph,
             origins,
             excluded_links=excluded_links,
             origin_export_scopes=origin_export_scopes,
-            compute=self._compute,
         )
 
     # -- instrumentation -----------------------------------------------------
@@ -690,18 +633,15 @@ class RoutingEngine:
 
 
 #: Per-worker state installed by the pool initializer: the one graph this
-#: pool routes over, and the kernel callable matching the parent engine.
+#: pool routes over.
 _worker_graph: Optional[ASGraph] = None
-_worker_compute = compute_routes
 
 
-def _init_pool_worker(graph: ASGraph, kernel: str) -> None:
+def _init_pool_worker(graph: ASGraph) -> None:
     """Pool initializer: receive the graph once and pre-compile its index."""
-    global _worker_graph, _worker_compute
+    global _worker_graph
     _worker_graph = graph
-    _worker_compute = _KERNELS[kernel]
-    if kernel == "fast":
-        graph_index(graph)  # compile once; every chunk in this worker reuses it
+    graph_index(graph)  # compile once; every chunk in this worker reuses it
 
 
 def _compute_chunk(
@@ -714,7 +654,7 @@ def _compute_chunk(
     results = []
     for dst, targets in chunk:
         timings: Dict[str, float] = {}
-        outcome = _worker_compute(
+        outcome = compute_routes_fast(
             graph, (dst,), targets=frozenset(targets), stage_timings=timings
         )
         results.append((dst, targets, outcome, timings))

@@ -1,31 +1,29 @@
-"""Flat-array fast path for Gao-Rexford route computation.
+"""Flat-array Gao-Rexford route computation: the routing kernel.
 
-Same three-stage algorithm as :func:`repro.asgraph.routing.compute_routes`
-(customer routes up, one peering hop across, provider routes down; ties by
-AS-path length then lowest next-hop AS number), rebuilt on top of the
-compiled :class:`~repro.asgraph.index.GraphIndex` with **parent-pointer
-routes**:
+Three stages (customer routes up, one peering hop across, provider routes
+down; ties by AS-path length then lowest next-hop AS number), run over
+the compiled :class:`~repro.asgraph.index.GraphIndex` with
+**parent-pointer routes**:
 
-- the legacy kernel materialises a path tuple per candidate — every edge
-  relaxation pays an O(path-length) tuple concatenation plus a ``Route``
-  allocation, and a cached full outcome holds O(V · avg-path-length)
-  tuples;
-- here a candidate is three ints (total path length, via node, seed id).
-  Finalised state is four flat arrays (``plen``/``parent``/``kind``/
+- a candidate is three ints (total path length, via node, seed id), not
+  a path tuple, so an edge relaxation never pays an O(path-length) tuple
+  concatenation or a ``Route`` allocation;
+- finalised state is four flat arrays (``plen``/``parent``/``kind``/
   ``seed``), offers are O(1), a stage is O(V + E), and full AS paths are
   reconstructed lazily by walking predecessors only when a caller actually
   asks for them (:class:`CompactOutcome`).
 
-Loop prevention over forged announced paths is preserved exactly: a node on
-the *propagated* part of a candidate path is always already routed (the
-kernel only extends finalised routes), so the legacy ``target in path``
-check reduces to membership in the announcing seed's forged tail — an O(1)
-frozenset probe against the seed the candidate descends from.
+Loop prevention over forged announced paths is exact: a node on the
+*propagated* part of a candidate path is always already routed (the
+kernel only extends finalised routes), so the textbook ``target in path``
+check reduces to membership in the announcing seed's forged tail — an
+O(1) frozenset probe against the seed the candidate descends from.
 
-Outcome-for-outcome equivalence with the legacy kernel (including the
-``targets`` early exit, ``excluded_links``, ``origin_export_scopes`` and
-the tiebreak order) is pinned by ``tests/test_fastpath.py`` and re-checked
-by ``benchmarks/bench_kernel.py`` on every benchmark run.
+Outcome-for-outcome equivalence with the path-tuple reference kernel in
+``tests/oracle/routing.py`` (including the ``targets`` early exit,
+``excluded_links``, ``origin_export_scopes`` and the tiebreak order) is
+pinned by ``tests/test_fastpath.py`` and ``tests/test_routing.py``, and
+re-checked by ``benchmarks/bench_kernel.py`` on every benchmark run.
 """
 
 from __future__ import annotations
@@ -244,11 +242,24 @@ def compute_routes_fast(
     targets: Optional[FrozenSet[int]] = None,
     stage_timings: Optional[MutableMapping[str, float]] = None,
 ) -> CompactOutcome:
-    """Drop-in fast equivalent of :func:`repro.asgraph.routing.compute_routes`.
+    """Compute every AS's best Gao-Rexford route to a prefix.
 
-    Same parameters, same semantics (see the legacy kernel's docstring),
-    same stage stamps in ``stage_timings`` — only the outcome type differs
-    (:class:`CompactOutcome`, which exposes the same API).
+    ``origins`` is an iterable of origin ASNs (each announcing ``(asn,)``)
+    or a mapping ``asn -> announced_as_path`` for crafted announcements,
+    which must start with the announcing AS: an attacker 66 forging origin
+    1 announces ``{66: (66, 1)}``.  ``excluded_links`` (``frozenset({a,
+    b})`` pairs) are treated as down, which is how failure what-ifs and
+    scoped announcements are expressed without mutating the graph.
+    ``origin_export_scopes`` restricts which neighbours an origin announces
+    its own route to (an interception attacker limiting its blast radius,
+    §3.2).  ``targets`` is an early-exit set: routes for targets are exact,
+    other ASes may be missing from the outcome.  Wall seconds per
+    propagation stage are *added* to ``stage_timings`` under
+    ``"customer"``, ``"peer"`` and ``"provider"``.
+
+    Loop prevention is enforced: an AS never accepts a path already
+    containing its own number, so the victim and the ASes on a forged tail
+    reject the forged announcement.
     """
     seeds = _normalise_origins(origins)
     for asn in seeds:
@@ -314,7 +325,7 @@ def compute_routes_fast(
     remaining: Optional[Set[int]] = None
     if targets is not None:
         # A target AS outside the topology can never be routed; the -1
-        # sentinel keeps the early exit from ever firing (legacy behaviour).
+        # sentinel keeps the early exit from ever firing, as in the reference.
         remaining = {idx.get(t, -1) for t in targets}
         for i in routed:
             remaining.discard(i)
@@ -488,13 +499,13 @@ def _propagate_flat(
 ) -> None:
     """Distance-synchronous relaxation used by stages 1 and 3.
 
-    Mirrors the legacy ``_propagate`` round structure exactly — finalise
+    Mirrors the reference kernel's round structure exactly — finalise
     every node whose best candidate has the globally minimal total path
     length, then extend from the newly routed — but a candidate is just
     ``(length, via)`` kept as the per-node minimum, bucketed by length.
     Candidate lengths produced after the initial offers are monotonically
     non-decreasing, so a per-node minimum plus lazy bucket entries finalises
-    the same route the legacy all-candidates scan does.
+    the same route the reference's all-candidates scan does.
     """
     n = len(plen)
     pend_len = [0] * n

@@ -68,7 +68,7 @@ from repro.asgraph.relationships import RouteKind
 from repro.asgraph.routing import Route, _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
-__all__ = ["SessionStats", "DynamicRoutingSession", "RecomputeSession"]
+__all__ = ["SessionStats", "DynamicRoutingSession"]
 
 _ORIGIN = int(RouteKind.ORIGIN)
 _CUSTOMER = int(RouteKind.CUSTOMER)
@@ -116,9 +116,7 @@ class DynamicRoutingSession:
     Create one per origin (or announcement set), then drive it with
     :meth:`exclude_link` / :meth:`restore_link` / :meth:`set_excluded` and
     query with :meth:`path` / :meth:`route` / :meth:`outcome`.  Obtain
-    sessions through :meth:`repro.asgraph.engine.RoutingEngine.session`,
-    which selects this class or the :class:`RecomputeSession` fallback by
-    kernel.
+    sessions through :meth:`repro.asgraph.engine.RoutingEngine.session`.
 
     The graph is snapshotted via its cached
     :class:`~repro.asgraph.index.GraphIndex`; mutating the graph mid-session
@@ -750,128 +748,3 @@ class DynamicRoutingSession:
                     f"session kind diverged at AS{asn}: "
                     f"{self._kind[i]} != {want_kind}"
                 )
-
-
-class RecomputeSession:
-    """Full-recompute fallback with the :class:`DynamicRoutingSession` API.
-
-    Every state change invalidates the cached outcome; the next query pays
-    one full kernel run.  Selected by
-    :meth:`~repro.asgraph.engine.RoutingEngine.session` for the legacy
-    kernel, and useful for correctness-diffing the incremental kernel.
-    """
-
-    def __init__(
-        self,
-        graph: ASGraph,
-        origins: _OriginsArg,
-        *,
-        excluded_links: Optional[Iterable[_Link]] = None,
-        origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-        compute=compute_routes_fast,
-    ) -> None:
-        self.graph = graph
-        seeds = _normalise_origins(origins)
-        for asn in seeds:
-            if asn not in graph:
-                raise ValueError(f"origin AS{asn} not in topology")
-        scopes = dict(origin_export_scopes) if origin_export_scopes else {}
-        for asn in scopes:
-            if asn not in seeds:
-                raise ValueError(f"export scope given for non-origin AS{asn}")
-        self._seeds = seeds
-        self._scopes = scopes
-        self._compute = compute
-        self._excluded: Set[_Link] = {
-            frozenset(link) for link in (excluded_links or ())
-        }
-        self._outcome = None
-        self.stats = SessionStats()
-        self._released = False
-
-    def __enter__(self) -> "RecomputeSession":
-        if self._released:
-            raise RuntimeError("routing session has been released")
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.release()
-
-    def release(self) -> None:
-        """Drop the cached outcome; idempotent (API parity with
-        :meth:`DynamicRoutingSession.release`)."""
-        self._released = True
-        self._outcome = None
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def _current(self):
-        if self._released:
-            raise RuntimeError("routing session has been released")
-        if self._outcome is None:
-            self._outcome = self._compute(
-                self.graph,
-                self._seeds,
-                excluded_links=frozenset(self._excluded),
-                origin_export_scopes=self._scopes or None,
-            )
-            self.stats.full_rebuilds += 1
-        return self._outcome
-
-    def exclude_link(self, link: Iterable[int]) -> bool:
-        if self._released:
-            raise RuntimeError("routing session has been released")
-        link = frozenset(link)
-        if link in self._excluded:
-            return False
-        self._excluded.add(link)
-        self._outcome = None
-        self.stats.events += 1
-        return True
-
-    def restore_link(self, link: Iterable[int]) -> bool:
-        if self._released:
-            raise RuntimeError("routing session has been released")
-        link = frozenset(link)
-        if link not in self._excluded:
-            return False
-        self._excluded.discard(link)
-        self._outcome = None
-        self.stats.events += 1
-        return True
-
-    def set_excluded(self, links: Iterable[Iterable[int]]) -> bool:
-        if self._released:
-            raise RuntimeError("routing session has been released")
-        target = {frozenset(link) for link in links}
-        if target == self._excluded:
-            return False
-        self.stats.events += len(target ^ self._excluded)
-        self._excluded = target
-        self._outcome = None
-        return True
-
-    @property
-    def origins(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._seeds))
-
-    @property
-    def excluded_links(self) -> FrozenSet[_Link]:
-        return frozenset(self._excluded)
-
-    def path(self, asn: int) -> Optional[Tuple[int, ...]]:
-        return self._current().path(asn)
-
-    def route(self, asn: int) -> Optional[Route]:
-        return self._current().route(asn)
-
-    def outcome(self):
-        return self._current()
-
-    def __len__(self) -> int:
-        return len(self._current())
-
-    def verify(self) -> None:
-        """Parity with the incremental session's API (always consistent)."""

@@ -1,34 +1,29 @@
-"""Gao-Rexford route computation over an :class:`~repro.asgraph.ASGraph`.
+"""Route and outcome types of Gao-Rexford routing over an :class:`~repro.asgraph.ASGraph`.
 
-Computes, for every AS, its best policy-compliant route towards a prefix
-announced by one or more origin ASes.  Multiple origins are exactly the
-hijack setting of §3.2: the victim and the attacker both announce the same
-prefix, and every AS independently picks the announcement it prefers — the
-set of ASes that pick the attacker is the *capture set*.
+A routing outcome holds, for every AS, its best policy-compliant route
+towards a prefix announced by one or more origin ASes.  Multiple origins
+are exactly the hijack setting of §3.2: the victim and the attacker both
+announce the same prefix, and every AS independently picks the
+announcement it prefers — the set of ASes that pick the attacker is the
+*capture set*.
 
-The algorithm is the standard three-stage breadth-first computation used by
-the AS-path inference literature the paper builds on (Gao 2001) and by BGP
-attack studies:
-
-1. *customer routes* propagate from the origins up provider links;
-2. *peer routes* are learned one hop across peering links;
-3. *provider routes* propagate down customer links.
-
-Within a stage, ties are broken by AS-path length and then by lowest
-next-hop AS number (a deterministic stand-in for BGP's router-ID tiebreak).
+The computation itself is :func:`repro.asgraph.fastpath.compute_routes_fast`
+(and its multi-origin batch, :func:`repro.asgraph.batch.compute_routes_many`):
+customer routes climb provider links from the origins, peer routes cross
+one peering hop, provider routes descend customer links; within a stage,
+ties go to the shorter AS path and then to the lowest next-hop AS number.
+This module keeps the types every kernel answers with and the
+announcement normalisation they share.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    List,
     Mapping,
-    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -38,7 +33,7 @@ from typing import (
 from repro.asgraph.relationships import RouteKind
 from repro.asgraph.topology import ASGraph
 
-__all__ = ["Route", "RoutingOutcome", "compute_routes", "as_path"]
+__all__ = ["Route", "RoutingOutcome", "as_path"]
 
 
 @dataclass(frozen=True)
@@ -128,167 +123,6 @@ class RoutingOutcome:
 _OriginsArg = Union[Iterable[int], Mapping[int, Sequence[int]]]
 
 
-def compute_routes(
-    graph: ASGraph,
-    origins: _OriginsArg,
-    excluded_links: Optional[Iterable[FrozenSet[int]]] = None,
-    origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-    targets: Optional[FrozenSet[int]] = None,
-    stage_timings: Optional[MutableMapping[str, float]] = None,
-) -> RoutingOutcome:
-    """Compute every AS's best Gao-Rexford route to a prefix.
-
-    Parameters
-    ----------
-    graph:
-        The AS topology.
-    origins:
-        Either an iterable of origin ASNs (each announcing ``(asn,)``), or a
-        mapping ``asn -> announced_as_path`` for crafted announcements.  A
-        crafted path must start with the announcing AS; e.g. an attacker 66
-        forging origin 1 announces ``{66: (66, 1)}``.
-    excluded_links:
-        Links (as ``frozenset({a, b})`` pairs) to treat as down.  Used for
-        failure what-ifs and for scoped announcements (an origin announcing
-        via a subset of its providers excludes its other provider links)
-        without mutating or copying the graph.
-    origin_export_scopes:
-        Optional per-origin restriction of which neighbours the origin
-        announces to (``origin -> allowed neighbour set``).  This is how an
-        interception attacker limits its blast radius (§3.2): announce the
-        bogus route only to neighbours whose capture won't break the
-        attacker's own forwarding path to the victim.
-    targets:
-        Optional early-exit set: stop as soon as every target AS has a
-        route.  Routes for targets are exact (the staged computation
-        finalises an AS only when no better route can still appear); other
-        ASes may be missing from the outcome.  Used by the trace engine,
-        which only needs vantage-point paths.  The exit is honoured within
-        stage 1, between stages, within stage 2 (remaining targets are
-        served from their own peer rows first; the rest of the peer
-        frontier is only built if targets are still missing, since those
-        routes feed stage 3), and within stage 3: a route assigned in an
-        earlier stage is always preferred over anything a later stage could
-        offer, so once every target is routed the computation can stop.
-    stage_timings:
-        Optional accumulator mapping; wall seconds spent in each
-        propagation stage are *added* under ``"customer"``, ``"peer"`` and
-        ``"provider"`` (the engine's per-stage instrumentation).
-
-    Notes
-    -----
-    Loop prevention is enforced: an AS never accepts a path already
-    containing its own number (this is what limits origin-forging attacks —
-    the victim and ASes on the forged tail reject the announcement).
-    """
-    seeds = _normalise_origins(origins)
-    for asn in seeds:
-        if asn not in graph:
-            raise ValueError(f"origin AS{asn} not in topology")
-    excluded = frozenset(excluded_links) if excluded_links else frozenset()
-    scopes = dict(origin_export_scopes) if origin_export_scopes else {}
-    for asn in scopes:
-        if asn not in seeds:
-            raise ValueError(f"export scope given for non-origin AS{asn}")
-
-    routes: Dict[int, Route] = {
-        asn: Route(path=path, kind=RouteKind.ORIGIN) for asn, path in seeds.items()
-    }
-
-    # Shrinking early-exit set: a target is discarded the moment it is
-    # routed, so the per-level done check is O(1) instead of O(|targets|).
-    # Targets outside the topology can never be routed and keep the exit
-    # from firing, same as the historical all()-scan behaviour.
-    remaining = set(targets) - routes.keys() if targets is not None else None
-
-    def usable(a: int, b: int) -> bool:
-        if frozenset((a, b)) in excluded:
-            return False
-        # An origin only exports its own announcement within its scope; once
-        # the route has propagated, downstream ASes export normally.
-        scope = scopes.get(a)
-        if scope is not None and routes.get(a) is not None and routes[a].kind is RouteKind.ORIGIN:
-            return b in scope
-        return True
-
-    def done() -> bool:
-        return remaining is not None and not remaining
-
-    def stamp(stage: str, started: float) -> None:
-        if stage_timings is not None:
-            stage_timings[stage] = stage_timings.get(stage, 0.0) + (
-                time.perf_counter() - started
-            )
-
-    # Stage 1: customer routes flow up provider links from the origins.
-    # Routes are final as soon as they are assigned (no later stage can
-    # displace a customer route), so the early exit applies here too.
-    t0 = time.perf_counter()
-    _propagate(
-        graph,
-        routes,
-        sources=dict(routes),
-        next_ases=lambda asn: (p for p in graph.providers(asn) if usable(asn, p)),
-        kind=RouteKind.CUSTOMER,
-        remaining=remaining,
-    )
-    stamp("customer", t0)
-
-    # Stage 2: peer routes are learned across a single peering hop from the
-    # stage-1 snapshot.
-    if not done():
-        t0 = time.perf_counter()
-        stage1 = dict(routes)
-        if remaining:
-            # Serve remaining targets from their own peer rows first: if
-            # that completes the target set, the whole-frontier candidate
-            # build (only needed as stage-3 sources) is skipped entirely.
-            for target in sorted(remaining):
-                candidates = [
-                    Route(path=(target,) + stage1[peer].path, kind=RouteKind.PEER)
-                    for peer in graph.peers(target)
-                    if peer in stage1
-                    and target not in stage1[peer].path
-                    and usable(peer, target)
-                ]
-                if candidates:
-                    routes[target] = min(candidates, key=_route_sort_key)
-                    remaining.discard(target)
-        if not done():
-            peer_candidates: Dict[int, List[Route]] = {}
-            for asn, route in stage1.items():
-                for peer in graph.peers(asn):
-                    if peer in routes:
-                        continue
-                    if peer in route.path:
-                        continue
-                    if not usable(asn, peer):
-                        continue
-                    peer_candidates.setdefault(peer, []).append(
-                        Route(path=(peer,) + route.path, kind=RouteKind.PEER)
-                    )
-            for asn, candidates in peer_candidates.items():
-                routes[asn] = min(candidates, key=_route_sort_key)
-                if remaining is not None:
-                    remaining.discard(asn)
-        stamp("peer", t0)
-
-    # Stage 3: provider routes flow down customer links from everyone routed.
-    if not done():
-        t0 = time.perf_counter()
-        _propagate(
-            graph,
-            routes,
-            sources=dict(routes),
-            next_ases=lambda asn: (c for c in graph.customers(asn) if usable(asn, c)),
-            kind=RouteKind.PROVIDER,
-            remaining=remaining,
-        )
-        stamp("provider", t0)
-
-    return RoutingOutcome(routes, tuple(sorted(seeds)))
-
-
 def as_path(graph: ASGraph, src: int, dst: int) -> Optional[Tuple[int, ...]]:
     """Convenience: the policy path from ``src`` to a prefix originated at ``dst``.
 
@@ -296,8 +130,10 @@ def as_path(graph: ASGraph, src: int, dst: int) -> Optional[Tuple[int, ...]]:
     routing the whole topology for a single query.  (For repeated queries
     use :class:`repro.asgraph.engine.RoutingEngine`, which also memoises.)
     """
-    outcome = compute_routes(graph, [dst], targets=frozenset((src,)))
-    return outcome.path(src)
+    # Imported here: the kernel module imports this one for its types.
+    from repro.asgraph.fastpath import compute_routes_fast
+
+    return compute_routes_fast(graph, [dst], targets=frozenset((src,))).path(src)
 
 
 def _normalise_origins(origins: _OriginsArg) -> Dict[int, Tuple[int, ...]]:
@@ -317,63 +153,3 @@ def _normalise_origins(origins: _OriginsArg) -> Dict[int, Tuple[int, ...]]:
     if not seeds:
         raise ValueError("at least one origin is required")
     return seeds
-
-
-def _route_sort_key(route: Route) -> Tuple[int, int]:
-    # Shorter path first, then lowest next-hop ASN (deterministic tiebreak).
-    return (len(route.path), route.next_hop if route.next_hop is not None else -1)
-
-
-def _propagate(
-    graph: ASGraph,
-    routes: Dict[int, Route],
-    sources: Dict[int, Route],
-    next_ases,
-    kind: RouteKind,
-    remaining=None,
-) -> None:
-    """Distance-synchronous BFS used by stages 1 and 3.
-
-    Processes candidate routes in order of increasing path length so that an
-    AS is finalised only once all candidates of its best length are known —
-    this makes the lowest-next-hop tiebreak deterministic.  ``remaining``
-    (the caller's shrinking set of unrouted targets, checked between levels,
-    when every finalised route is final) allows an early exit once it
-    empties.
-    """
-    # Pending candidates per target AS, discovered lazily.
-    frontier: Dict[int, List[Route]] = {}
-
-    def offer(target: int, via_route: Route) -> None:
-        if target in routes:
-            return
-        if target in via_route.path:
-            return  # loop prevention
-        frontier.setdefault(target, []).append(
-            Route(path=(target,) + via_route.path, kind=kind)
-        )
-
-    for asn, route in sources.items():
-        for target in next_ases(asn):
-            offer(target, route)
-
-    while frontier:
-        if remaining is not None and not remaining:
-            return
-        # Finalise every AS whose best candidate has the globally minimal
-        # length this round; they cannot be beaten by later discoveries,
-        # which are strictly longer.
-        best_len = min(len(min(cands, key=len)) for cands in frontier.values())
-        newly_routed: List[int] = []
-        for asn in list(frontier):
-            candidates = [r for r in frontier[asn] if len(r) == best_len]
-            if not candidates:
-                continue
-            routes[asn] = min(candidates, key=_route_sort_key)
-            del frontier[asn]
-            newly_routed.append(asn)
-            if remaining is not None:
-                remaining.discard(asn)
-        for asn in newly_routed:
-            for target in next_ases(asn):
-                offer(target, routes[asn])

@@ -20,15 +20,11 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
 )
-
-try:  # typing.Protocol landed in 3.8; keep a fallback for exotic builds
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
 
 from repro.analysis.prefixes import Prefix
 

@@ -25,12 +25,7 @@ bounded-memory benchmark gate asserts is flat in trace length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
-
-try:
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Iterable, Iterator, List, Optional, Protocol
 
 from repro import obs
 from repro.bgpsim.collector import StreamEvent

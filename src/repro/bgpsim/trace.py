@@ -127,8 +127,8 @@ class TraceConfig:
     session_cache_cap: int = 256
     #: answer route-cache misses from stateful incremental sessions
     #: (:meth:`repro.asgraph.engine.RoutingEngine.session`) instead of full
-    #: per-origin propagations.  Takes effect with the fast kernel; mainly
-    #: an ablation/debugging escape hatch.
+    #: per-origin propagations.  ``False`` is the full-recompute reference
+    #: the session path is checked against.
     incremental: bool = True
 
     #: width of the replay windows the streaming pipeline is chopped into
@@ -260,8 +260,7 @@ class TraceEngine:
             cap=config.session_cache_cap,
             counter_prefix="trace.sessions",
         )
-        #: sessions only help on the mutable flat-array substrate
-        self._use_sessions = config.incremental and self.engine.kernel == "fast"
+        self._use_sessions = config.incremental
         self._vantages: List[int] = []
         self._vantage_targets: FrozenSet[int] = frozenset()
         self._sessions_by_prefix: Dict[Prefix, List[SessionId]] = {}

@@ -346,7 +346,7 @@ def _cmd_users(args: argparse.Namespace) -> UsersResult:
 
 
 def _cmd_population(args: argparse.Namespace) -> PopulationResult:
-    from repro.core.population import _resolve_backend, simulate_population
+    from repro.core.population import simulate_population
     from repro.core.surveillance import ObservationMode
     from repro.tor.churn import ChurnConfig, evolve_consensus
     from repro.tor.clientdist import ClientASDistribution
@@ -366,7 +366,6 @@ def _cmd_population(args: argparse.Namespace) -> PopulationResult:
         consensus = evolve_consensus(
             consensus, args.days, ChurnConfig(seed=args.seed)
         )
-    backend = None if args.backend == "auto" else args.backend
     print(
         f"simulating {args.users} users over {len(client_pool)} client ASes "
         f"x {args.days} days vs colluding ASes {sorted(adversaries)}...",
@@ -387,7 +386,6 @@ def _cmd_population(args: argparse.Namespace) -> PopulationResult:
         rotation_days=args.rotation_days,
         mode=ObservationMode.EITHER,
         seed=args.seed,
-        backend=backend,
         engine=scenario.engine,
         jobs=args.jobs,
         checkpoint=args.checkpoint,
@@ -401,7 +399,6 @@ def _cmd_population(args: argparse.Namespace) -> PopulationResult:
         days=args.days,
         circuits_per_day=args.circuits_per_day,
         num_guards=args.guards,
-        backend=_resolve_backend(backend),
         skew=args.skew,
         churn=args.churn,
         adversaries=tuple(sorted(adversaries)),
@@ -735,10 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--churn", action="store_true", default=False,
         help="evolve the consensus daily with relay churn",
     )
-    population.add_argument(
-        "--backend", choices=("auto", "vector", "loop"), default="auto",
-        help="kernel tier: numpy vector, pure-python loop, or auto",
-    )
     resilience = sub.add_parser(
         "resilience", help="hijack-resilience-aware guard selection (§5)"
     )
@@ -855,7 +848,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "plot", "top", "size", "clients", "days",
                         "attackers", "jobs", "checkpoint", "resume",
                         "users", "client_ases", "circuits_per_day",
-                        "guards", "skew", "churn", "backend",
+                        "guards", "skew", "churn",
                     )
                     if hasattr(args, key)
                 },

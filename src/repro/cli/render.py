@@ -203,8 +203,7 @@ def render_population(result: PopulationResult, plot: bool = False) -> str:
         f"{result.num_users} users over {result.num_client_ases} client ASes "
         f"({result.skew} skew), {result.days} days x "
         f"{result.circuits_per_day} circuits, {result.num_guards} guards"
-        + (", daily relay churn" if result.churn else "")
-        + f" [{result.backend} backend]",
+        + (", daily relay churn" if result.churn else ""),
         "",
         "day   users compromised so far",
     ]

@@ -403,7 +403,6 @@ class PopulationResult(CommandResult):
     days: int
     circuits_per_day: int
     num_guards: int
-    backend: str
     skew: str
     churn: bool
     adversaries: Tuple[int, ...]
@@ -428,7 +427,6 @@ class PopulationResult(CommandResult):
             "days": self.days,
             "circuits_per_day": self.circuits_per_day,
             "num_guards": self.num_guards,
-            "backend": self.backend,
             "skew": self.skew,
             "churn": self.churn,
             "adversaries": list(self.adversaries),

@@ -53,7 +53,6 @@ from repro.core.resilience import (
     evaluate_selection,
 )
 from repro.core.population import (
-    POPULATION_BACKEND,
     PopulationAggregate,
     PopulationReport,
     UserOutcome,
@@ -92,7 +91,6 @@ __all__ = [
     "compute_resilience",
     "blended_guard_weights",
     "evaluate_selection",
-    "POPULATION_BACKEND",
     "PopulationAggregate",
     "PopulationReport",
     "UserOutcome",

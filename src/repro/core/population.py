@@ -22,10 +22,10 @@ Three ideas carry the whole kernel:
   circuit resolves against the boolean tables by fancy-indexing.
 - **Counter-based randomness.**  Every draw is a pure function of
   ``(seed, user, day, circuit, stream)`` through a SplitMix64-style
-  finalizer, evaluated identically by the numpy tier and the pure-python
-  loop tier.  Results are therefore bit-for-bit independent of the
-  backend, of the block size, and of how blocks shard over
-  :mod:`repro.runner` workers.
+  finalizer, evaluated over numpy arrays of user indices.  Results are
+  therefore bit-for-bit independent of the block size and of how blocks
+  shard over :mod:`repro.runner` workers, and equal to the per-user
+  pure-python reference in ``tests/oracle/population.py``.
 
 Sharding streams: each user block returns only a
 :class:`PopulationAggregate` (histograms and counts); aggregates merge
@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -52,6 +51,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro import obs
 from repro.core.surveillance import ObservationMode, SurveillanceModel
 from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
@@ -59,16 +60,7 @@ from repro.tor.clientdist import ClientASDistribution
 from repro.tor.consensus import Consensus, Position
 from repro.tor.index import relay_index
 
-try:  # pragma: no cover - absence is exercised by the numpy-free CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Which tier :func:`simulate_population` uses when ``backend`` is None.
-POPULATION_BACKEND = "vector" if _np is not None else "loop"
-
 __all__ = [
-    "POPULATION_BACKEND",
     "DayMix",
     "PopulationAggregate",
     "PopulationReport",
@@ -117,29 +109,14 @@ def _draw_base(seed: int, day: int, circuit: int, stream: int) -> int:
     ) & _MASK
 
 
-def _draw(base: int, user: int) -> float:
-    """One uniform in [0, 1) — the loop tier's half of the lattice.
+def _draws_vector(base: int, users):
+    """One uniform in [0, 1) per entry of a uint64 array of user indices.
 
     Depends only on the key, never on evaluation order, which is what
-    makes block sharding and the vector tier bit-for-bit equivalent.
+    makes block sharding bit-for-bit invariant.  uint64 arithmetic wraps
+    with C semantics (the 64-bit mask of the lattice); ``z >> 11`` fits in
+    53 bits so the float64 conversion is exact.
     """
-    z = (base + user * _MULT_USER) & _MASK
-    z ^= z >> 30
-    z = (z * _MIX_1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX_2) & _MASK
-    z ^= z >> 31
-    return (z >> 11) * _INV_2_53
-
-
-def _draws_vector(base: int, users):
-    """Vector twin of :func:`_draw` over a uint64 array of user indices.
-
-    uint64 arithmetic wraps with C semantics, matching the explicit
-    ``& _MASK`` in the scalar path; ``z >> 11`` fits in 53 bits so the
-    float64 conversion is exact.
-    """
-    np = _np
     z = np.uint64(base) + users * np.uint64(_MULT_USER)
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX_1)
@@ -152,9 +129,9 @@ def _draws_vector(base: int, users):
 def _cumulative(weights: Sequence[float]) -> Tuple[float, ...]:
     """Cumulative probabilities via a plain running sum.
 
-    Built once in pure python and shared by both tiers, so
-    ``np.searchsorted(cum, u, side="right")`` and
-    ``bisect_right(cum, u)`` agree bit-for-bit.
+    Built once in pure python, so ``np.searchsorted(cum, u,
+    side="right")`` and a scalar ``bisect_right(cum, u)`` agree
+    bit-for-bit.
     """
     total = 0.0
     for weight in weights:
@@ -217,7 +194,7 @@ def _build_day_mixes(
 
     Registries grow in day order (then ascending ASN within a day), a
     function of the consensus series alone — never of the users — so
-    registry indices are identical across shards and backends.
+    registry indices are identical across shards.
     """
     guard_registry: Dict[int, int] = {}
     exit_registry: Dict[int, int] = {}
@@ -506,7 +483,7 @@ def _decode_block(encoded: dict) -> _BlockResult:
 
 
 # --------------------------------------------------------------------------
-# The kernel: one user block, loop and vector tiers
+# The kernel: one user block
 # --------------------------------------------------------------------------
 
 
@@ -537,21 +514,18 @@ class _PopulationContext(TransientFields):
     rotation_days: float
     mode: ObservationMode
     draw_seed: int
-    backend: Optional[str]
     keep_outcomes: bool
     engine: object = None
 
     _transient = ("engine",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExposureTables:
     """Boolean segment tables: clients × guards and exits × destinations."""
 
-    entry: List[List[bool]]
-    exit: List[List[bool]]
-    entry_np: object = None
-    exit_np: object = None
+    entry: np.ndarray
+    exit: np.ndarray
 
 
 # One-slot cache: every block of a run shares one context object, so the
@@ -564,168 +538,33 @@ def _tables_for(ctx: _PopulationContext) -> _ExposureTables:
         return _TABLE_CACHE[0][1]
     model = SurveillanceModel(ctx.graph, engine=ctx.engine)
     tables = _ExposureTables(
-        entry=model.exposure_table(
-            ctx.adversaries, ctx.client_registry, ctx.guard_registry, ctx.mode
+        entry=np.asarray(
+            model.exposure_table(
+                ctx.adversaries, ctx.client_registry, ctx.guard_registry, ctx.mode
+            ),
+            dtype=bool,
         ),
-        exit=model.exposure_table(
-            ctx.adversaries, ctx.exit_registry, ctx.destination_asns, ctx.mode
+        exit=np.asarray(
+            model.exposure_table(
+                ctx.adversaries, ctx.exit_registry, ctx.destination_asns, ctx.mode
+            ),
+            dtype=bool,
         ),
     )
     _TABLE_CACHE[:] = [(ctx, tables)]
     return tables
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend in (None, "auto"):
-        return POPULATION_BACKEND
-    if backend == "vector":
-        if _np is None:
-            raise RuntimeError(
-                "population backend 'vector' requires numpy; install it or "
-                "use backend='loop'"
-            )
-        return "vector"
-    if backend == "loop":
-        return "loop"
-    raise ValueError(f"unknown population backend: {backend!r}")
-
-
-def _client_indices_loop(ctx: _PopulationContext, start: int, end: int):
-    """Per-user client registry index, loop tier."""
-    if ctx.client_index is not None:
-        return ctx.client_index[start:end]
-    base = _draw_base(ctx.draw_seed, 0, 0, _STREAM_CLIENT)
-    cum, pick = ctx.client_cum, ctx.client_pick
-    last = len(cum) - 1
-    out = []
-    for user in range(start, end):
-        index = bisect_right(cum, _draw(base, user))
-        out.append(pick[index if index <= last else last])
-    return out
-
-
-def _simulate_block_loop(
+def _simulate_block(
     ctx: _PopulationContext, tables: _ExposureTables, start: int, end: int
 ) -> _BlockResult:
-    days, per_day, num_guards = ctx.days, ctx.circuits_per_day, ctx.num_guards
-    seed, rotation = ctx.draw_seed, ctx.rotation_days
-    mixes = ctx.day_mixes
-    entry, exit_table = tables.entry, tables.exit
-    num_dests = len(ctx.destination_asns)
-    alive_sets = [frozenset(mix.guard_reg) for mix in mixes]
-    # Hoist the (day, slot/circuit, stream) key prefixes out of the user
-    # loop — the inner loop then only folds in the user term.
-    guard_bases = [
-        [_draw_base(seed, day, s, _STREAM_GUARD) for s in range(num_guards)]
-        for day in range(days + 1)
-    ]
-    life_bases = [
-        [_draw_base(seed, day, s, _STREAM_LIFETIME) for s in range(num_guards)]
-        for day in range(days + 1)
-    ]
-    slot_bases = [
-        [_draw_base(seed, day, c, _STREAM_SLOT) for c in range(per_day)]
-        for day in range(days + 1)
-    ]
-    exit_bases = [
-        [_draw_base(seed, day, c, _STREAM_EXIT) for c in range(per_day)]
-        for day in range(days + 1)
-    ]
-    dest_bases = [
-        [_draw_base(seed, day, c, _STREAM_DEST) for c in range(per_day)]
-        for day in range(days + 1)
-    ]
-
-    first_hist = [0] * (days + 1)
-    count_hist = [0] * (days * per_day + 1)
-    outcomes: Optional[List[UserOutcome]] = [] if ctx.keep_outcomes else None
-    client_indices = _client_indices_loop(ctx, start, end)
-
-    mix0 = mixes[0]
-    glen0 = len(mix0.guard_cum)
-    for offset, user in enumerate(range(start, end)):
-        client = client_indices[offset]
-        entry_row = entry[client]
-        slots = [0] * num_guards
-        expiry = [0.0] * num_guards
-        for s in range(num_guards):
-            index = bisect_right(mix0.guard_cum, _draw(guard_bases[0][s], user))
-            slots[s] = mix0.guard_reg[index if index < glen0 else glen0 - 1]
-            expiry[s] = rotation * (1.0 + _draw(life_bases[0][s], user))
-        hits = 0
-        first = 0
-        for day in range(1, days + 1):
-            mix = mixes[day - 1]
-            alive = alive_sets[day - 1]
-            now = float(day - 1)
-            glen = len(mix.guard_cum)
-            for s in range(num_guards):
-                if expiry[s] <= now or slots[s] not in alive:
-                    index = bisect_right(
-                        mix.guard_cum, _draw(guard_bases[day][s], user)
-                    )
-                    slots[s] = mix.guard_reg[index if index < glen else glen - 1]
-                    expiry[s] = now + rotation * (
-                        1.0 + _draw(life_bases[day][s], user)
-                    )
-            elen = len(mix.exit_cum)
-            for c in range(per_day):
-                pick = int(_draw(slot_bases[day][c], user) * num_guards)
-                if pick >= num_guards:
-                    pick = num_guards - 1
-                index = bisect_right(
-                    mix.exit_cum, _draw(exit_bases[day][c], user)
-                )
-                exit_idx = mix.exit_reg[index if index < elen else elen - 1]
-                dest = int(_draw(dest_bases[day][c], user) * num_dests)
-                if dest >= num_dests:
-                    dest = num_dests - 1
-                if entry_row[slots[pick]] and exit_table[exit_idx][dest]:
-                    hits += 1
-                    if first == 0:
-                        first = day
-        first_hist[first] += 1
-        count_hist[hits] += 1
-        if outcomes is not None:
-            outcomes.append(
-                UserOutcome(
-                    client_asn=ctx.client_registry[client],
-                    circuits_built=days * per_day,
-                    compromised_circuits=hits,
-                    first_compromise_day=first or None,
-                )
-            )
-    users = end - start
-    aggregate = PopulationAggregate(
-        users=users,
-        circuits_built=users * days * per_day,
-        compromised_circuits=sum(
-            count * bucket for count, bucket in enumerate(count_hist)
-        ),
-        first_day_hist=tuple(first_hist),
-        comp_count_hist=tuple(count_hist),
-    )
-    return _BlockResult(
-        aggregate=aggregate,
-        outcomes=tuple(outcomes) if outcomes is not None else None,
-    )
-
-
-def _simulate_block_vector(
-    ctx: _PopulationContext, tables: _ExposureTables, start: int, end: int
-) -> _BlockResult:
-    np = _np
     days, per_day, num_guards = ctx.days, ctx.circuits_per_day, ctx.num_guards
     seed, rotation = ctx.draw_seed, ctx.rotation_days
     num_dests = len(ctx.destination_asns)
     n = end - start
     users = np.arange(start, end, dtype=np.uint64)
     rows = np.arange(n)
-
-    if tables.entry_np is None:
-        tables.entry_np = np.asarray(tables.entry, dtype=bool)
-        tables.exit_np = np.asarray(tables.exit, dtype=bool)
-    entry_np, exit_np = tables.entry_np, tables.exit_np
+    entry, exit_table = tables.entry, tables.exit
 
     if ctx.client_index is not None:
         clients = np.asarray(ctx.client_index[start:end], dtype=np.int64)
@@ -804,7 +643,7 @@ def _simulate_block_vector(
             exit_idx = exit_reg[index]
             u = _draws_vector(_draw_base(seed, day, c, _STREAM_DEST), users)
             dest = np.minimum((u * num_dests).astype(np.int64), num_dests - 1)
-            compromised = entry_np[clients, guard_idx] & exit_np[exit_idx, dest]
+            compromised = entry[clients, guard_idx] & exit_table[exit_idx, dest]
             hits += compromised
             first = np.where((first == 0) & compromised, day, first)
 
@@ -836,10 +675,7 @@ def _population_block_trial(
     ctx: _PopulationContext, trial: Trial
 ) -> _BlockResult:
     start, end = trial.params
-    tables = _tables_for(ctx)
-    if _resolve_backend(ctx.backend) == "vector":
-        return _simulate_block_vector(ctx, tables, start, end)
-    return _simulate_block_loop(ctx, tables, start, end)
+    return _simulate_block(ctx, _tables_for(ctx), start, end)
 
 
 # --------------------------------------------------------------------------
@@ -868,7 +704,6 @@ def population_spec(
     rotation_days: float = 30.0,
     mode: ObservationMode = ObservationMode.EITHER,
     seed: int = 0,
-    backend: Optional[str] = None,
     keep_outcomes: Optional[bool] = None,
     block_size: Optional[int] = None,
     engine=None,
@@ -900,7 +735,6 @@ def population_spec(
         raise ValueError("need clients and destinations")
     if not adversary_set:
         raise ValueError("need at least one adversary AS")
-    _resolve_backend(backend)  # fail fast on a bad name
 
     client_index = client_cum = client_pick = None
     if isinstance(clients, ClientASDistribution):
@@ -962,7 +796,6 @@ def population_spec(
             rotation_days=float(rotation_days),
             mode=mode,
             draw_seed=_population_seed(seed),
-            backend=backend,
             keep_outcomes=keep_outcomes,
             engine=engine,
         ),
@@ -971,7 +804,6 @@ def population_spec(
             "days": days,
             "circuits_per_day": circuits_per_day,
             "mode": mode.value,
-            "backend": backend or "auto",
             "block_size": block_size,
         },
         encode_result=_encode_block,
@@ -994,7 +826,6 @@ def simulate_population(
     rotation_days: float = 30.0,
     mode: ObservationMode = ObservationMode.EITHER,
     seed: int = 0,
-    backend: Optional[str] = None,
     keep_outcomes: Optional[bool] = None,
     block_size: Optional[int] = None,
     engine=None,
@@ -1013,8 +844,8 @@ def simulate_population(
 
     The population shards over ``jobs`` processes in user blocks with
     streaming aggregate merges; draws are keyed by absolute user index,
-    so any ``backend`` / ``block_size`` / ``jobs`` combination produces
-    bit-identical results.
+    so any ``block_size`` / ``jobs`` combination produces bit-identical
+    results.
     """
     spec = population_spec(
         graph,
@@ -1030,7 +861,6 @@ def simulate_population(
         rotation_days=rotation_days,
         mode=mode,
         seed=seed,
-        backend=backend,
         keep_outcomes=keep_outcomes,
         block_size=block_size,
         engine=engine,
@@ -1040,7 +870,6 @@ def simulate_population(
         users=spec.params["users"],
         days=days,
         circuits_per_day=circuits_per_day,
-        backend=_resolve_backend(backend),
     ) as sim_span:
         started = time.perf_counter()
         report = run_experiment(

@@ -13,7 +13,7 @@ it keeps its historical signature and report shape but delegates to the
 struct-of-arrays kernel in :mod:`repro.core.population` (with per-user
 ``outcomes`` always retained), so the same seed gives the same per-user
 first-compromise days as a direct :func:`simulate_population` call at
-any scale, backend, or sharding.  The relay-level per-user-object sweep
+any scale or sharding.  The relay-level per-user-object sweep
 (:func:`user_population_spec`) is kept as the legacy path for
 consumers that need relay-granular circuit construction.
 """
@@ -211,8 +211,7 @@ def simulate_user_population(
     :func:`repro.core.population.simulate_population`: the explicit
     client roster maps one user per entry, per-user ``outcomes`` are
     always retained, and results are bit-identical to a direct kernel
-    call with the same arguments — at any ``jobs`` value, block size, or
-    backend (vector or the numpy-free loop tier).
+    call with the same arguments — at any ``jobs`` value or block size.
 
     ``engine`` (keyword-only) is the
     :class:`~repro.asgraph.engine.RoutingEngine` the underlying

@@ -351,7 +351,6 @@ class RoutingDaemon:
             "num_ases": len(self.graph),
             "num_links": self.graph.num_links(),
             "ases": sorted(self.graph.ases),
-            "kernel": self.engine.kernel,
             "graph_fingerprint": self.engine.fingerprint(self.graph),
         }
 

@@ -259,16 +259,12 @@ class SessionPool:
         ``noop`` in the session's stats without touching any label.  The
         events-minus-noops delta is therefore the proof we need — zero
         non-noop operations means the routes are bit-identical to before
-        the call.  Sessions without that accounting (the legacy recompute
-        kernel) conservatively report every exclusion change as a route
-        change.
+        the call.
         """
-        stats = getattr(session, "stats", None)
-        before = (stats.events, stats.noops) if stats is not None else (0, 0)
+        stats = session.stats
+        before = (stats.events, stats.noops)
         if not session.set_excluded(target):
             return False
-        if stats is None:
-            return True
         events = stats.events - before[0]
         noops = stats.noops - before[1]
         return events > noops

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asgraph import ASGraph, TopologyConfig, compute_routes, generate_topology
+from repro.asgraph import ASGraph, TopologyConfig, compute_routes_fast, generate_topology
 from repro.bgpsim.attacks import (
     AttackKind,
     simulate_community_scoped_hijack,
@@ -26,7 +26,7 @@ class TestSamePrefixHijack:
 
     def test_capture_partition(self, graph):
         result = simulate_hijack(graph, victim=100, attacker=50)
-        outcome = compute_routes(graph, [100, 50])
+        outcome = compute_routes_fast(graph, [100, 50])
         assert result.capture_set | outcome.capture_set(100) == graph.ases
 
     def test_stub_attackers_are_surprisingly_effective(self, graph):
@@ -125,7 +125,7 @@ class TestCommunityScopedHijack:
 
     def test_long_path_neighbours_preferentially_captured(self, graph):
         """§5: stealth attacks win only where legitimate paths are long."""
-        baseline = compute_routes(graph, [100])
+        baseline = compute_routes_fast(graph, [100])
         result = simulate_community_scoped_hijack(graph, 100, 50)
         captured = [
             n for n in graph.neighbours(50) if n in result.capture_set

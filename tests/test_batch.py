@@ -4,8 +4,10 @@
 to ``compute_routes_fast`` — lengths, parents, kinds, seeds, tiebreaks —
 for every combination of origin sets, excluded links, export scopes and
 (shared or per-row) early-exit targets.  The property test sweeps random
-Internets through random batch shapes; the unit tests pin the
-``BatchOutcome`` API, the input validation, and the loop fallback.
+Internets through random batch shapes; every row is also checked route
+for route against the path-tuple reference kernel in
+``tests/oracle/routing.py``.  The unit tests pin the ``BatchOutcome`` API
+and the input validation.
 """
 
 import pytest
@@ -20,8 +22,8 @@ from repro.asgraph import (
     compute_routes_many,
     generate_topology,
 )
-from repro.asgraph.batch import VECTOR_BACKEND
 from repro.asgraph.index import graph_index
+from tests.oracle.routing import compute_routes
 
 
 def diamond() -> ASGraph:
@@ -125,18 +127,21 @@ class TestEquivalenceProperty:
             assert_row_matches(batch, row, fast, g)
 
     def test_backends_agree(self):
-        """The loop fallback and the vector kernel produce the same rows
-        (trivially true where numpy is absent and only "loop" runs)."""
+        """Every row, single- and two-origin, routes exactly as the
+        reference kernel does, with and without excluded links."""
         g = generate_topology(
             TopologyConfig(num_ases=80, num_tier1=3, num_tier2=15, seed=11)
         )
         ases = sorted(g.ases)
-        specs = [(a,) for a in ases[::7]]
-        loop = compute_routes_many(g, specs, backend="loop")
-        default = compute_routes_many(g, specs)
-        for row in range(len(specs)):
-            want = loop.outcome(row)
-            assert_row_matches(default, row, want, g)
+        specs = [(a,) for a in ases[::7]] + [(ases[3], ases[40])]
+        links = sorted((frozenset((a, b)) for a, b, _ in g.links()), key=sorted)
+        for excluded in (None, links[::17]):
+            batch = compute_routes_many(g, specs, excluded_links=excluded)
+            for row, spec in enumerate(specs):
+                want = compute_routes(g, spec, excluded_links=excluded)
+                got = batch.outcome(row)
+                assert dict(got.items()) == dict(want.items()), (row, spec)
+                assert got.origins == want.origins
 
 
 class TestBatchOutcomeAPI:
@@ -190,18 +195,6 @@ class TestValidation:
                 diamond(), [1], targets=[frozenset({3}), frozenset({4})]
             )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch backend"):
-            compute_routes_many(diamond(), [1], backend="simd")
-
-    def test_loop_backend_needs_the_graph(self):
-        gi = graph_index(diamond())
-        with pytest.raises(RuntimeError, match="needs the ASGraph"):
-            compute_routes_many(gi, [1], backend="loop")
-
-    @pytest.mark.skipif(
-        VECTOR_BACKEND != "vector", reason="vector backend requires numpy"
-    )
     def test_vector_backend_accepts_bare_index(self):
         g = diamond()
         batch = compute_routes_many(graph_index(g), [1])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.prefixes import Prefix
-from repro.asgraph import ASGraph, RouteKind, compute_routes
+from repro.asgraph import ASGraph, RouteKind, compute_routes_fast
 from repro.bgpsim.collector import UpdateRecord, UpdateStream
 
 P = Prefix.parse("10.0.0.0/24")
@@ -17,28 +17,28 @@ class TestRoutingTiebreaks:
         # 1 has two customers 5 and 7, both originating; paths tie.
         g.add_provider_link(customer=5, provider=1)
         g.add_provider_link(customer=7, provider=1)
-        out1 = compute_routes(g, [5, 7])
-        out2 = compute_routes(g, [5, 7])
+        out1 = compute_routes_fast(g, [5, 7])
+        out2 = compute_routes_fast(g, [5, 7])
         assert out1.path(1) == out2.path(1) == (1, 5)  # lowest next hop wins
 
     def test_origin_with_no_links_reaches_only_itself(self):
         g = ASGraph()
         g.add_as(9)
         g.add_provider_link(customer=2, provider=1)
-        out = compute_routes(g, [9])
+        out = compute_routes_fast(g, [9])
         assert out.reachable_ases() == {9}
 
     def test_route_kind_exposed(self):
         g = ASGraph()
         g.add_provider_link(customer=2, provider=1)
-        out = compute_routes(g, [2])
+        out = compute_routes_fast(g, [2])
         assert out.route(1).kind is RouteKind.CUSTOMER
         assert out.route(2).kind is RouteKind.ORIGIN
 
     def test_single_as_origin(self):
         g = ASGraph()
         g.add_as(1)
-        out = compute_routes(g, [1])
+        out = compute_routes_fast(g, [1])
         assert out.path(1) == (1,)
 
 

@@ -1,8 +1,9 @@
 """Tests for the memoizing RoutingEngine facade.
 
 The engine must be invisible semantically — every answer byte-identical
-to the pure kernel — while the cache counters prove it is actually
-reusing work (superset matching, batch grouping, LRU eviction).
+to the pure kernel and to the path-tuple reference kernel in
+``tests/oracle/routing.py`` — while the cache counters prove it is
+actually reusing work (superset matching, batch grouping, LRU eviction).
 """
 
 import random
@@ -12,7 +13,6 @@ import pytest
 from repro.asgraph import (
     RoutingEngine,
     TopologyConfig,
-    compute_routes,
     generate_topology,
     set_shared_engine,
     shared_engine,
@@ -20,6 +20,12 @@ from repro.asgraph import (
 from repro.asgraph.routing import as_path
 from repro.asgraph.topology import ASGraph
 from repro.serve.api import OutcomeBatch, PathBatch
+from tests.oracle.routing import compute_routes
+
+
+def oracle_path(graph, src, dst):
+    """The reference kernel's targeted answer to one (src, dst) query."""
+    return compute_routes(graph, [dst], targets=frozenset((src,))).path(src)
 
 
 def diamond() -> ASGraph:
@@ -81,7 +87,9 @@ class TestMemoisation:
     def test_path_matches_as_path(self, tiny_graph):
         engine = RoutingEngine()
         for src, dst in [(59, 10), (3, 42), (17, 17)]:
-            assert engine.path(tiny_graph, src, dst) == as_path(tiny_graph, src, dst)
+            got = engine.path(tiny_graph, src, dst)
+            assert got == as_path(tiny_graph, src, dst)
+            assert got == oracle_path(tiny_graph, src, dst)
 
 
 class TestInvalidation:
@@ -146,6 +154,7 @@ class TestBatching:
         assert set(batched) == set(pairs)
         for src, dst in pairs:
             assert batched[(src, dst)] == as_path(g, src, dst), (src, dst)
+            assert batched[(src, dst)] == oracle_path(g, src, dst), (src, dst)
 
     def test_paths_many_groups_by_destination(self, tiny_graph):
         engine = RoutingEngine()
@@ -282,15 +291,11 @@ class TestOutcomesMany:
         assert len(result) == 0
 
     def test_legacy_kernel_matches_fast(self, tiny_graph):
-        specs = [[10], [11, 20]]
-        fast = RoutingEngine(kernel="fast").outcomes_many(
-            tiny_graph, OutcomeBatch.of(specs)
-        )
-        legacy = RoutingEngine(kernel="legacy").outcomes_many(
-            tiny_graph, OutcomeBatch.of(specs)
-        )
-        for a, b in zip(fast, legacy):
-            assert dict(a.items()) == dict(b.items())
+        """Batched rows, plain and forged, equal the reference kernel."""
+        specs = [[10], [11, 20], {21: (21, 10)}]
+        batch = RoutingEngine().outcomes_many(tiny_graph, OutcomeBatch.of(specs))
+        for got, spec in zip(batch, specs):
+            assert dict(got.items()) == dict(compute_routes(tiny_graph, spec).items())
 
 
 class TestStats:
@@ -312,40 +317,29 @@ class TestStats:
 
 
 class TestKernelSelection:
-    def test_fast_is_default(self):
-        assert RoutingEngine().kernel == "fast"
+    """The engine has one kernel, the flat-array one; its answers must
+    equal the reference kernel's."""
+
+    def test_fast_is_default(self, tiny_graph):
+        from repro.asgraph import CompactOutcome
+
+        assert isinstance(RoutingEngine().outcome(tiny_graph, [10]), CompactOutcome)
 
     def test_legacy_escape_hatch(self, tiny_graph):
-        from repro.asgraph import CompactOutcome, RoutingOutcome
-
-        legacy = RoutingEngine(kernel="legacy")
-        fast = RoutingEngine(kernel="fast")
-        a = legacy.outcome(tiny_graph, [10, 20])
-        b = fast.outcome(tiny_graph, [10, 20])
-        assert isinstance(a, RoutingOutcome)
-        assert isinstance(b, CompactOutcome)
-        assert dict(a.items()) == dict(b.items())
-
-    def test_env_variable_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        assert RoutingEngine().kernel == "legacy"
-        # An explicit argument still wins over the environment.
-        assert RoutingEngine(kernel="fast").kernel == "fast"
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(ValueError):
-            RoutingEngine()
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            RoutingEngine(kernel="turbo")
+        """Full outcomes (hijack shape, excluded link) equal the reference."""
+        engine = RoutingEngine()
+        link = [frozenset({10, 11})]
+        for origins, excluded in (([10, 20], None), ([10], link)):
+            got = engine.outcome(tiny_graph, origins, excluded_links=excluded)
+            want = compute_routes(tiny_graph, origins, excluded_links=excluded)
+            assert dict(got.items()) == dict(want.items())
 
     def test_both_kernels_batch_identically(self, tiny_graph):
         pairs = [(s, d) for s in (40, 50, 59) for d in (10, 11)]
-        assert RoutingEngine(kernel="fast").paths_many(
-            tiny_graph, PathBatch.of(pairs)
-        ) == RoutingEngine(kernel="legacy").paths_many(
-            tiny_graph, PathBatch.of(pairs)
-        )
+        result = RoutingEngine().paths_many(tiny_graph, PathBatch.of(pairs))
+        assert result.mapping() == {
+            (s, d): oracle_path(tiny_graph, s, d) for s, d in pairs
+        }
 
 
 class TestSharedEngine:
@@ -412,19 +406,24 @@ class TestDeprecatedBatchSignatures:
 class TestSessionContextManager:
     """`with engine.session(...) as s:` guarantees release()."""
 
+    # ``incremental=False`` is a forged-tail announcement, whose session
+    # answers every event with a full rebuild instead of a subtree repair.
     @pytest.mark.parametrize("incremental", [True, False])
     def test_releases_on_clean_exit(self, tiny_graph, incremental):
         engine = RoutingEngine()
-        with engine.session(tiny_graph, [10], incremental=incremental) as s:
-            assert s.path(59) == as_path(tiny_graph, 59, 10)
+        origins = [10] if incremental else {10: (10, 11)}
+        with engine.session(tiny_graph, origins) as s:
+            assert s._incremental_ok is incremental
+            assert s.path(59) == engine.outcome(tiny_graph, origins).path(59)
             assert not s.released
         assert s.released
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_releases_when_body_raises(self, tiny_graph, incremental):
         engine = RoutingEngine()
+        origins = [10] if incremental else {10: (10, 11)}
         with pytest.raises(RuntimeError, match="boom"):
-            with engine.session(tiny_graph, [10], incremental=incremental) as s:
+            with engine.session(tiny_graph, origins) as s:
                 raise RuntimeError("boom")
         assert s.released
 

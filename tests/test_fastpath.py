@@ -1,7 +1,8 @@
 """Equivalence and regression tests for the flat-array routing kernel.
 
 The fast kernel must be invisible: outcome-for-outcome identical to the
-legacy kernel for every combination of origins, forged announced paths,
+path-tuple reference kernel (``tests/oracle/routing.py``, here
+``compute_routes``) for every combination of origins, forged announced paths,
 excluded links, export scopes and early-exit targets.  The property test
 sweeps randomly generated Internets through randomly drawn query shapes;
 the unit tests pin the lazy :class:`CompactOutcome` materialisation, the
@@ -18,11 +19,11 @@ from repro.asgraph import (
     CompactOutcome,
     RouteKind,
     TopologyConfig,
-    compute_routes,
     compute_routes_fast,
     generate_topology,
 )
 from repro.asgraph.index import GraphIndex, graph_index
+from tests.oracle.routing import compute_routes
 
 
 def diamond() -> ASGraph:
@@ -34,15 +35,15 @@ def diamond() -> ASGraph:
     return g
 
 
-def assert_outcomes_equal(legacy, fast, origins=()):
+def assert_outcomes_equal(reference, fast, origins=()):
     """Every piece of the RoutingOutcome API must agree between kernels."""
-    assert dict(legacy.items()) == dict(fast.items())
-    assert legacy.origins == fast.origins
-    assert legacy.reachable_ases() == fast.reachable_ases()
-    assert len(legacy) == len(fast)
+    assert dict(reference.items()) == dict(fast.items())
+    assert reference.origins == fast.origins
+    assert reference.reachable_ases() == fast.reachable_ases()
+    assert len(reference) == len(fast)
     for origin in origins:
-        assert legacy.capture_set(origin) == fast.capture_set(origin)
-        assert legacy.capture_set_via(origin) == fast.capture_set_via(origin)
+        assert reference.capture_set(origin) == fast.capture_set(origin)
+        assert reference.capture_set_via(origin) == fast.capture_set_via(origin)
 
 
 class TestEquivalenceProperty:
@@ -50,7 +51,7 @@ class TestEquivalenceProperty:
     @given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
     def test_random_queries_match_legacy(self, seed, rng):
         """Random topologies x random origins / forged paths / excluded
-        links / export scopes / targets: fast == legacy, outcome for
+        links / export scopes / targets: fast == reference, outcome for
         outcome."""
         g = generate_topology(
             TopologyConfig(num_ases=90, num_tier1=3, num_tier2=15, seed=seed)
@@ -89,11 +90,11 @@ class TestEquivalenceProperty:
             origin_export_scopes=scopes,
             targets=targets,
         )
-        legacy = compute_routes(g, origins, **kwargs)
+        reference = compute_routes(g, origins, **kwargs)
         fast = compute_routes_fast(g, origins, **kwargs)
-        assert_outcomes_equal(legacy, fast, origins=origins)
+        assert_outcomes_equal(reference, fast, origins=origins)
         for asn in ases:
-            assert legacy.path(asn) == fast.path(asn)
+            assert reference.path(asn) == fast.path(asn)
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -115,30 +116,30 @@ class TestEquivalenceProperty:
 class TestEquivalenceEdgeCases:
     def test_forged_origin_loop_prevention(self):
         """The victim (and any AS on the forged tail) rejects the forged
-        announcement, exactly as in the legacy kernel."""
+        announcement, exactly as in the reference kernel."""
         g = diamond()
         origins = {3: (3,), 4: (4, 3)}
-        legacy = compute_routes(g, origins)
+        reference = compute_routes(g, origins)
         fast = compute_routes_fast(g, origins)
-        assert_outcomes_equal(legacy, fast, origins=[3, 4])
+        assert_outcomes_equal(reference, fast, origins=[3, 4])
         assert fast.route(3).kind is RouteKind.ORIGIN
-        assert fast.capture_set_via(4) == legacy.capture_set_via(4)
+        assert fast.capture_set_via(4) == reference.capture_set_via(4)
 
     def test_forged_tail_outside_topology(self):
         g = diamond()
         origins = {4: (4, 999)}  # forged origin AS999 does not exist
-        legacy = compute_routes(g, origins)
+        reference = compute_routes(g, origins)
         fast = compute_routes_fast(g, origins)
-        assert_outcomes_equal(legacy, fast, origins=[4])
-        assert fast.capture_set(999) == legacy.capture_set(999)
+        assert_outcomes_equal(reference, fast, origins=[4])
+        assert fast.capture_set(999) == reference.capture_set(999)
 
     def test_unknown_target_disables_early_exit(self):
         """A target outside the topology can never be routed, so both
         kernels fall back to the full computation."""
         g = diamond()
-        legacy = compute_routes(g, [1], targets=frozenset({4, 999}))
+        reference = compute_routes(g, [1], targets=frozenset({4, 999}))
         fast = compute_routes_fast(g, [1], targets=frozenset({4, 999}))
-        assert_outcomes_equal(legacy, fast)
+        assert_outcomes_equal(reference, fast)
         assert fast.reachable_ases() == g.ases
 
     def test_excluded_link_detour(self):
@@ -205,9 +206,9 @@ class TestTiebreak:
         g.add_peer_link(7, 2)
         g.add_peer_link(5, 2)
         out = compute_routes_fast(g, [9])
-        legacy = compute_routes(g, [9])
+        reference = compute_routes(g, [9])
         # AS2 hears (2,7,9) and (2,5,9): lowest next hop 5 wins.
-        assert out.path(2) == legacy.path(2) == (2, 5, 9)
+        assert out.path(2) == reference.path(2) == (2, 5, 9)
 
 
 class TestCompactOutcome:
@@ -223,9 +224,9 @@ class TestCompactOutcome:
         assert len(out._paths) < len(out)
 
     def test_route_objects_match_legacy(self, tiny_graph):
-        legacy = compute_routes(tiny_graph, [10, 20])
+        reference = compute_routes(tiny_graph, [10, 20])
         fast = compute_routes_fast(tiny_graph, [10, 20])
-        for asn, route in legacy.items():
+        for asn, route in reference.items():
             got = fast.route(asn)
             assert got == route
             assert got.kind is route.kind
@@ -234,16 +235,16 @@ class TestCompactOutcome:
 
     def test_capture_sets_without_materialisation(self, tiny_graph):
         fast = compute_routes_fast(tiny_graph, [10, 20])
-        legacy = compute_routes(tiny_graph, [10, 20])
-        assert fast.capture_set(10) == legacy.capture_set(10)
-        assert fast.capture_set(20) == legacy.capture_set(20)
+        reference = compute_routes(tiny_graph, [10, 20])
+        assert fast.capture_set(10) == reference.capture_set(10)
+        assert fast.capture_set(20) == reference.capture_set(20)
         # Capture sets resolve from seed ids/parent pointers, not paths.
         assert fast._paths == {}
 
     def test_ases_on_path_and_missing_as(self, tiny_graph):
         fast = compute_routes_fast(tiny_graph, [10])
-        legacy = compute_routes(tiny_graph, [10])
-        assert fast.ases_on_path(59) == legacy.ases_on_path(59)
+        reference = compute_routes(tiny_graph, [10])
+        assert fast.ases_on_path(59) == reference.ases_on_path(59)
         assert fast.path(424242) is None
         assert fast.route(424242) is None
         assert fast.ases_on_path(424242) == frozenset()
@@ -314,7 +315,7 @@ class TestGraphIndex:
 
 
 class TestLegacyEarlyExitFixes:
-    """The satellite fixes to the legacy kernel keep target routes exact."""
+    """The satellite fixes to the reference kernel keep target routes exact."""
 
     def test_stage2_targets_first_skips_frontier(self):
         """When the remaining targets are all served by the peer stage, the

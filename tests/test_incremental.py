@@ -8,9 +8,10 @@ generated topologies; hand-built graphs pin the adversarial repair cases
 (the improve-detach cascade, where a detached node's route *shortens* while
 degrading rank and steals an intact provider-kind subtree, including the
 equal-length lower-index tiebreak variant); further tests cover the undo
-fast path, forged-tail/export-scope sessions, graph-mutation recovery, the
-engine session API, and the trace-layer integration (session-backed cache,
-LRU bounds, link reverse index).
+fast path, forged-tail/export-scope sessions (also diffed against the
+full-recompute reference session in ``tests/oracle/routing.py``),
+graph-mutation recovery, the engine session API, and the trace-layer
+integration (session-backed cache, LRU bounds, link reverse index).
 """
 
 import pytest
@@ -21,7 +22,6 @@ from repro.analysis.prefixes import Prefix
 from repro.asgraph import (
     ASGraph,
     DynamicRoutingSession,
-    RecomputeSession,
     RouteKind,
     RoutingEngine,
     TopologyConfig,
@@ -30,6 +30,7 @@ from repro.asgraph import (
 )
 from repro.bgpsim.trace import TraceConfig, TraceEngine
 from repro.obs import Recorder
+from tests.oracle.routing import RecomputeSession
 
 
 def assert_matches_fresh(session):
@@ -354,31 +355,25 @@ class TestSessionLifecycle:
 
 class TestEngineSessionAPI:
     def test_fast_kernel_returns_incremental_session(self):
-        engine = RoutingEngine(kernel="fast")
+        engine = RoutingEngine()
         g = improve_detach_graph(peer_of=1)
         sess = engine.session(g, [1])
         assert isinstance(sess, DynamicRoutingSession)
         assert engine.stats().sessions == 1
         assert "1 sessions" in engine.stats().format()
 
-    def test_legacy_kernel_returns_recompute_session(self):
-        engine = RoutingEngine(kernel="legacy")
-        g = improve_detach_graph(peer_of=1)
-        sess = engine.session(g, [1])
-        assert isinstance(sess, RecomputeSession)
-
     def test_incremental_override_and_agreement(self):
-        engine = RoutingEngine(kernel="fast")
+        """Engine sessions track the full-recompute reference session."""
+        engine = RoutingEngine()
         g = improve_detach_graph(peer_of=1)
         fast = engine.session(g, [1])
-        slow = engine.session(g, [1], incremental=False)
-        assert isinstance(slow, RecomputeSession)
+        slow = RecomputeSession(g, [1])
         for link in [(13, 5), (12, 13), (20, 9)]:
             fast.exclude_link(link)
             slow.exclude_link(link)
             for asn in g.ases:
                 assert fast.path(asn) == slow.path(asn)
-        assert engine.stats().sessions == 2
+        assert engine.stats().sessions == 1
 
 
 def _trace_world(seed=0):

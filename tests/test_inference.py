@@ -6,7 +6,7 @@ from repro.asgraph import (
     ASGraph,
     Relationship,
     TopologyConfig,
-    compute_routes,
+    compute_routes_fast,
     generate_topology,
 )
 from repro.asgraph.inference import infer_relationships
@@ -19,7 +19,7 @@ def observed_paths(graph, num_destinations=30, num_observers=25):
     observers = [a for a in ases if graph.customers(a)][:num_observers]
     paths = []
     for dest in destinations:
-        outcome = compute_routes(graph, [dest])
+        outcome = compute_routes_fast(graph, [dest])
         for observer in observers:
             path = outcome.path(observer)
             if path is not None and len(path) >= 2:

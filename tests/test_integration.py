@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis.prefixes import Prefix
-from repro.asgraph import compute_routes
+from repro.asgraph import compute_routes_fast
 from repro.bgpsim.attacks import AttackKind, simulate_hijack, simulate_interception
 from repro.bgpsim.simulator import BGPSimulator, SimulatorConfig
 from repro.core.asymmetric import FlowMatcher
@@ -100,7 +100,7 @@ class TestTemporalPipeline:
         if not timeline or timeline[0][1] is None:
             pytest.skip("prefix not announced to this observer")
         first_path = timeline[0][1]
-        outcome = compute_routes(small_scenario.graph, [origin])
+        outcome = compute_routes_fast(small_scenario.graph, [origin])
         static = outcome.path(client_asn)
         assert static is not None
         assert first_path == static  # t=0 trace state == static fixed point

@@ -1,26 +1,27 @@
 """Tests for the struct-of-arrays population kernel.
 
-The load-bearing property: results are bit-for-bit identical across the
-vector and loop tiers, across block sizes, and against the
+The load-bearing property: results are bit-for-bit identical to the
+per-user pure-python reference in ``tests/oracle/population.py`` (swapped
+in with ``loop_tier()``), across block sizes, and against the
 ``simulate_user_population`` reference wrapper — per-user
 first-compromise days included, not just aggregates.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.population import (
-    POPULATION_BACKEND,
     PopulationAggregate,
     PopulationReport,
     UserOutcome,
+    _draws_vector,
     simulate_population,
 )
 from repro.core.surveillance import ObservationMode, SurveillanceModel
 from repro.tor.churn import ChurnConfig, evolve_consensus
 from repro.tor.clientdist import ClientASDistribution
-
-has_numpy = POPULATION_BACKEND == "vector"
+from tests.oracle.population import draw, loop_tier
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,12 @@ def world(small_scenario):
         | set(sorted(small_scenario.graph.tier1_ases())[:2])
     )
     return small_scenario, clients, dests, adversaries
+
+
+def run_loop(world, **overrides):
+    """:func:`run` on the per-user reference kernel."""
+    with loop_tier():
+        return run(world, **overrides)
 
 
 def run(world, **overrides):
@@ -51,36 +58,33 @@ def run(world, **overrides):
 
 class TestBackendEquivalence:
     def test_loop_matches_reference_semantics(self, world):
-        report = run(world, backend="loop")
+        report = run_loop(world)
         assert report.num_users == len(world[1])
         assert all(isinstance(o, UserOutcome) for o in report.outcomes)
 
-    @pytest.mark.skipif(not has_numpy, reason="vector tier needs numpy")
     def test_vector_equals_loop_bit_for_bit(self, world):
-        vector = run(world, backend="vector")
-        loop = run(world, backend="loop")
+        vector = run(world)
+        loop = run_loop(world)
         assert vector.outcomes == loop.outcomes
         assert vector.aggregate == loop.aggregate
 
     def test_sharding_invariance(self, world):
-        whole = run(world, backend="loop")
+        whole = run_loop(world)
         for block_size in (1, 3, 5):
-            sharded = run(world, backend="loop", block_size=block_size)
+            sharded = run(world, block_size=block_size)
             assert sharded.outcomes == whole.outcomes
             assert sharded.aggregate == whole.aggregate
 
     def test_jobs_invariance(self, world, tmp_path):
-        serial = run(world, backend="loop", block_size=3)
-        parallel = run(world, backend="loop", block_size=3, jobs=2)
+        serial = run(world, block_size=3)
+        parallel = run(world, block_size=3, jobs=2)
         assert parallel.outcomes == serial.outcomes
         assert parallel.aggregate == serial.aggregate
 
     def test_checkpoint_resume_round_trips(self, world, tmp_path):
         ckpt = str(tmp_path / "population.ckpt")
-        first = run(world, backend="loop", block_size=3, checkpoint=ckpt)
-        resumed = run(
-            world, backend="loop", block_size=3, checkpoint=ckpt, resume=True
-        )
+        first = run(world, block_size=3, checkpoint=ckpt)
+        resumed = run(world, block_size=3, checkpoint=ckpt, resume=True)
         assert resumed.outcomes == first.outcomes
         assert resumed.aggregate == first.aggregate
 
@@ -95,49 +99,47 @@ class TestBackendEquivalence:
     def test_property_soa_equals_reference(
         self, world, seed, days, circuits, guards, block
     ):
-        """Same seeds → same per-user first-compromise days, across the
-        backends and any block size (the numpy-free fallback included)."""
+        """Same seeds → same per-user first-compromise days as the
+        per-user reference, at any block size."""
         kwargs = dict(
             days=days, circuits_per_day=circuits, num_guards=guards, seed=seed
         )
-        reference = run(world, backend="loop", **kwargs)
-        sharded = run(world, backend="loop", block_size=block, **kwargs)
-        assert sharded.outcomes == reference.outcomes
-        if has_numpy:
-            vector = run(world, backend="vector", block_size=block, **kwargs)
-            assert vector.outcomes == reference.outcomes
-            assert vector.aggregate == reference.aggregate
+        reference = run_loop(world, **kwargs)
+        vector = run(world, block_size=block, **kwargs)
+        assert vector.outcomes == reference.outcomes
+        assert vector.aggregate == reference.aggregate
 
-    def test_unknown_backend_rejected(self, world):
-        with pytest.raises(ValueError):
-            run(world, backend="simd")
-        if not has_numpy:
-            with pytest.raises(RuntimeError):
-                run(world, backend="vector")
+    @settings(deadline=None, max_examples=50)
+    @given(
+        base=st.integers(min_value=0, max_value=2**64 - 1),
+        users=st.lists(
+            st.integers(min_value=0, max_value=2**40), min_size=1, max_size=20
+        ),
+    )
+    def test_vector_draws_equal_scalar_draws(self, base, users):
+        """The uint64 lattice wraps exactly like the masked scalar one."""
+        got = _draws_vector(base, np.asarray(users, dtype=np.uint64))
+        assert got.tolist() == [draw(base, user) for user in users]
 
 
 class TestScenarioKnobs:
     def test_sampled_clients_match_across_tiers_and_shards(self, world):
         scenario, clients, _d, _a = world
         dist = ClientASDistribution.zipf(clients, exponent=1.2)
-        one = run(world, clients=dist, num_users=60, backend="loop")
-        two = run(
-            world, clients=dist, num_users=60, backend="loop", block_size=7
-        )
+        one = run_loop(world, clients=dist, num_users=60)
+        two = run(world, clients=dist, num_users=60, block_size=7)
         assert one.outcomes == two.outcomes
         assert {o.client_asn for o in one.outcomes} <= set(clients)
-        if has_numpy:
-            three = run(world, clients=dist, num_users=60, backend="vector")
-            assert three.outcomes == one.outcomes
+        three = run(world, clients=dist, num_users=60)
+        assert three.outcomes == one.outcomes
 
     def test_churn_series_simulates_and_matches_tiers(self, world):
         scenario = world[0]
         series = evolve_consensus(scenario.consensus, 6, ChurnConfig(seed=4))
-        loop = run(world, consensus=series, backend="loop")
+        loop = run_loop(world, consensus=series)
         assert loop.num_users == len(world[1])
-        if has_numpy:
-            vector = run(world, consensus=series, backend="vector")
-            assert vector.outcomes == loop.outcomes
+        vector = run(world, consensus=series)
+        assert vector.outcomes == loop.outcomes
 
     def test_either_dominates_forward_per_user(self, world):
         forward = run(world, mode=ObservationMode.FORWARD)

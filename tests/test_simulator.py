@@ -1,16 +1,18 @@
 """Tests for the message-level BGP simulator.
 
 The strongest check: after convergence, every AS's selected path must
-equal the static Gao-Rexford fixed point — two independent implementations
-of the same policy model agreeing on arbitrary topologies.
+equal the static Gao-Rexford fixed point of the reference kernel in
+``tests/oracle/routing.py`` — two independent implementations of the same
+policy model agreeing on arbitrary topologies.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.prefixes import Prefix
-from repro.asgraph import TopologyConfig, compute_routes, generate_topology
+from repro.asgraph import TopologyConfig, generate_topology
 from repro.bgpsim.simulator import BGPSimulator, SimulatorConfig
+from tests.oracle.routing import compute_routes
 
 P = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.9.0.0/16")

@@ -3,7 +3,8 @@
 The engine caches vantage paths keyed only on the *relevant* excluded
 links (a fixpoint), not the full global exclusion state.  These tests pin
 the correctness claim: the filtered result must equal a direct
-Gao-Rexford computation under the full exclusion set, for arbitrary
+Gao-Rexford computation by the reference kernel in
+``tests/oracle/routing.py`` under the full exclusion set, for arbitrary
 exclusion sets.
 """
 
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.analysis.prefixes import Prefix
-from repro.asgraph import TopologyConfig, compute_routes, generate_topology
+from repro.asgraph import TopologyConfig, generate_topology
 from repro.bgpsim.trace import TraceConfig, TraceEngine
+from tests.oracle.routing import compute_routes
 
 
 def build_engine(seed=0):
