@@ -21,6 +21,7 @@ This module closes that loop in simulation:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -121,7 +122,11 @@ class AttackSchedule:
         bogus origin appear shortly after the attack starts (propagation
         delays differ per session).
         """
-        rng = random.Random(hash(tuple((str(e.prefix), e.start) for e in self.events)) & 0xFFFF)
+        # A digest, not builtin hash(): string hashing is salted per
+        # process, which would move every delay from run to run.
+        key = repr([(str(e.prefix), e.start) for e in self.events]).encode()
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        rng = random.Random(int.from_bytes(digest, "big"))
         records: List[Tuple[SessionId, UpdateRecord]] = []
         for event in self.events:
             for session in sessions:

@@ -1,6 +1,10 @@
 """Tests for the real-time monitoring framework (the paper's future work)."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -49,6 +53,40 @@ class TestAttackSchedule:
         for session, record in records:
             assert record.prefix in trace.session_prefixes[session]
             assert record.as_path[0] == session[1]
+
+    def test_bogus_records_ignore_the_string_hash_seed(self):
+        """The injected records' delays are a function of the schedule
+        alone, not of the interpreter's per-process string hashing."""
+        script = textwrap.dedent(
+            """
+            from types import SimpleNamespace
+            from repro.analysis.prefixes import Prefix
+            from repro.core.secure_selection import AttackEvent, AttackSchedule
+
+            a, b = Prefix.parse("10.1.0.0/16"), Prefix.parse("10.2.0.0/24")
+            schedule = AttackSchedule([
+                AttackEvent(start=1000.0, prefix=a, attacker_asn=66, end=9000.0),
+                AttackEvent(start=4000.0, prefix=b, attacker_asn=66, end=9000.0),
+            ])
+            sessions = [("rrc00", 1), ("rrc00", 2), ("rrc01", 3)]
+            trace = SimpleNamespace(session_prefixes={
+                sessions[0]: {a, b}, sessions[1]: {a}, sessions[2]: {b},
+            })
+            for session, record in schedule.bogus_records(sessions, trace):
+                print(session, repr(record.time), record.prefix, record.as_path)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
 
     def test_too_many_attacks_rejected(self, campaign):
         trace, _ = campaign
