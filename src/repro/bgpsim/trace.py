@@ -260,7 +260,6 @@ class TraceEngine:
             cap=config.session_cache_cap,
             counter_prefix="trace.sessions",
         )
-        self._use_sessions = config.incremental
         self._vantages: List[int] = []
         self._vantage_targets: FrozenSet[int] = frozenset()
         self._sessions_by_prefix: Dict[Prefix, List[SessionId]] = {}
@@ -794,7 +793,7 @@ class TraceEngine:
             cache.move_to_end(key)
             return cached
         obs.add("trace.route_cache.misses")
-        if self._use_sessions:
+        if self.config.incremental:
             # Borrow the origin's warm session, diffed onto this event's
             # exclusion set: unchanged links cost nothing, changed links
             # cost a subtree patch (or a provable no-op) instead of a
