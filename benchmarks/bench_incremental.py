@@ -7,10 +7,9 @@ the ``MonthTrace`` shape) against a stateful
 fresh targeted :func:`compute_routes_fast` per event, at graph sizes x
 churn modes, and emits a machine-readable document (see
 ``docs/benchmarks.md`` for the schema).  Every run also cross-checks the
-session's per-event vantage paths against the fresh kernel — and runs the
-end-to-end ``MonthTrace`` with sessions on vs off, requiring bit-identical
-update streams — exiting non-zero on any divergence; the CI smoke job runs
-the smallest size purely for that gate.
+session's per-event vantage paths against the fresh kernel, exiting
+non-zero on any divergence; the CI smoke job runs the smallest size purely
+for that gate.
 
 Churn modes:
 
@@ -38,18 +37,15 @@ from typing import Callable, Dict, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.analysis.prefixes import Prefix  # noqa: E402
 from repro.asgraph import (  # noqa: E402
     DynamicRoutingSession,
-    RoutingEngine,
     TopologyConfig,
     compute_routes_fast,
     generate_topology,
 )
 from repro.asgraph.index import graph_index  # noqa: E402
-from repro.bgpsim.trace import TraceConfig, TraceEngine  # noqa: E402
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SIZES = [1000, 4000]
 DEFAULT_EVENTS = 300
 DEFAULT_OUT = os.path.join(
@@ -166,57 +162,7 @@ def _check_replay_equivalence(graph, origin, vantages, events) -> List[str]:
     return defects
 
 
-def _trace_world(seed: int):
-    graph = generate_topology(
-        TopologyConfig(num_ases=300, num_tier1=4, num_tier2=30, seed=seed)
-    )
-    prefixes = {
-        Prefix.parse(f"10.{i // 256}.{i % 256}.0/24"): 40 + (i % 200)
-        for i in range(40)
-    }
-    tor = list(prefixes)[:8]
-    return graph, prefixes, tor
-
-
-def _month_trace(seed: int, duration_days: float) -> Tuple[Dict, List[str]]:
-    """End-to-end MonthTrace with sessions on vs off; streams must match."""
-    graph, prefixes, tor = _trace_world(seed)
-    defects: List[str] = []
-    timings: Dict[str, float] = {}
-    streams: Dict[bool, Dict] = {}
-    for incremental in (True, False):
-        cfg = TraceConfig(
-            duration_days=duration_days, seed=seed, incremental=incremental
-        )
-        engine = TraceEngine(graph, prefixes, tor, cfg, engine=RoutingEngine())
-        t0 = time.perf_counter()
-        trace = engine.run()
-        timings[incremental] = time.perf_counter() - t0
-        streams[incremental] = {
-            session: [
-                (r.time, str(r.prefix), r.as_path, r.from_reset)
-                for r in stream.records
-            ]
-            for session, stream in trace.streams.items()
-        }
-    if streams[True] != streams[False]:
-        diverged = [
-            s for s in streams[True] if streams[True][s] != streams[False].get(s)
-        ]
-        defects.append(
-            f"month_trace streams diverge with sessions on vs off: {diverged[:3]}"
-        )
-    row = {
-        "workload": "month_trace",
-        "config": {"seed": seed, "duration_days": duration_days},
-        "incremental_seconds": timings[True],
-        "full_seconds": timings[False],
-        "speedup": timings[False] / timings[True] if timings[True] else None,
-    }
-    return row, defects
-
-
-def run_suite(sizes: List[int], num_events: int, repeats: int, seed: int, trace_days: float) -> Dict:
+def run_suite(sizes: List[int], num_events: int, repeats: int, seed: int) -> Dict:
     results: List[Dict] = []
     defects: List[str] = []
     for num_ases in sizes:
@@ -262,9 +208,6 @@ def run_suite(sizes: List[int], num_events: int, repeats: int, seed: int, trace_
                 }
             )
 
-    trace_row, trace_defects = _month_trace(seed, trace_days)
-    defects.extend(trace_defects)
-
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "incremental",
@@ -274,13 +217,11 @@ def run_suite(sizes: List[int], num_events: int, repeats: int, seed: int, trace_
             "events": num_events,
             "repeats": repeats,
             "seed": seed,
-            "trace_days": trace_days,
         },
         "equivalent": not defects,
         "defects": defects,
         "results": results,
         "speedups": speedups,
-        "month_trace": trace_row,
     }
 
 
@@ -290,7 +231,6 @@ def main(argv=None) -> int:
     parser.add_argument("--events", type=int, default=DEFAULT_EVENTS)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--trace-days", type=float, default=10.0)
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument(
         "--smoke",
@@ -302,8 +242,7 @@ def main(argv=None) -> int:
     sizes = [min(args.sizes)] if args.smoke else sorted(args.sizes)
     num_events = min(args.events, 80) if args.smoke else args.events
     repeats = 1 if args.smoke else args.repeats
-    trace_days = min(args.trace_days, 3.0) if args.smoke else args.trace_days
-    document = run_suite(sizes, num_events, repeats, args.seed, trace_days)
+    document = run_suite(sizes, num_events, repeats, args.seed)
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w") as fh:
@@ -316,8 +255,6 @@ def main(argv=None) -> int:
             f"speedup n={entry['num_ases']:>6} churn={entry['churn']:<4}"
             f" {entry['speedup']:.2f}x"
         )
-    trace = document["month_trace"]
-    print(f"month_trace speedup {trace['speedup']:.2f}x")
     if not document["equivalent"]:
         print("INCREMENTAL DIVERGENCE DETECTED:", file=sys.stderr)
         for defect in document["defects"]:

@@ -16,7 +16,7 @@ ablation replays the same scenario with one knob changed.  The
   target ASes answers the narrower query, because the staged computation
   finalises every target exactly;
 - **batching** — :meth:`paths_many` groups (src, dst) path queries by
-  destination, computes one :class:`~repro.asgraph.routing.RoutingOutcome`
+  destination, computes one :class:`~repro.asgraph.fastpath.CompactOutcome`
   per origin with a merged target set, and can fan destinations out across
   a ``concurrent.futures`` process pool;
 - **instrumentation** — hit/miss/eviction counters and per-stage kernel
@@ -55,10 +55,10 @@ from typing import (
 )
 
 from repro.asgraph.batch import compute_routes_many
-from repro.asgraph.fastpath import compute_routes_fast
+from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
 from repro.asgraph.incremental import DynamicRoutingSession
 from repro.asgraph.index import graph_index
-from repro.asgraph.routing import RoutingOutcome, _normalise_origins, _OriginsArg
+from repro.asgraph.routing import _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
 __all__ = [
@@ -119,7 +119,7 @@ class RoutingEngine:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         #: base key -> [(targets or None, outcome), ...], LRU over base keys
-        self._cache: "OrderedDict[_BaseKey, List[Tuple[Optional[FrozenSet[int]], RoutingOutcome]]]" = OrderedDict()
+        self._cache: "OrderedDict[_BaseKey, List[Tuple[Optional[FrozenSet[int]], CompactOutcome]]]" = OrderedDict()
         self._num_outcomes = 0
         self._fingerprints: "weakref.WeakKeyDictionary[ASGraph, str]" = (
             weakref.WeakKeyDictionary()
@@ -182,7 +182,7 @@ class RoutingEngine:
 
     def _lookup(
         self, key: _BaseKey, targets: Optional[FrozenSet[int]]
-    ) -> Optional[RoutingOutcome]:
+    ) -> Optional[CompactOutcome]:
         """Find a cached outcome valid for ``targets`` (lock held)."""
         entries = self._cache.get(key)
         if entries is None:
@@ -199,7 +199,7 @@ class RoutingEngine:
         self,
         key: _BaseKey,
         targets: Optional[FrozenSet[int]],
-        outcome: RoutingOutcome,
+        outcome: CompactOutcome,
     ) -> None:
         """Insert an outcome and evict the LRU base key if over capacity
         (lock held)."""
@@ -225,7 +225,7 @@ class RoutingEngine:
         excluded_links: Optional[Iterable[_Link]] = None,
         origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
         targets: Optional[FrozenSet[int]] = None,
-    ) -> RoutingOutcome:
+    ) -> CompactOutcome:
         """Memoized :func:`~repro.asgraph.fastpath.compute_routes_fast`
         (same signature and semantics)."""
         seeds = _normalise_origins(origins)
@@ -321,7 +321,7 @@ class RoutingEngine:
         excluded_links: Optional[Iterable[_Link]] = None,
         origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
         targets: Optional[object] = None,
-    ) -> List[RoutingOutcome]:
+    ) -> List[CompactOutcome]:
         seeds_list = [_normalise_origins(spec) for spec in origins]
         excluded = frozenset(excluded_links) if excluded_links else frozenset()
         all_scopes = dict(origin_export_scopes) if origin_export_scopes else {}
@@ -349,7 +349,7 @@ class RoutingEngine:
             )
             for seeds in seeds_list
         ]
-        results: List[Optional[RoutingOutcome]] = [None] * len(seeds_list)
+        results: List[Optional[CompactOutcome]] = [None] * len(seeds_list)
         miss_rows: List[int] = []
         with self._lock:
             self._batches += 1
@@ -391,14 +391,14 @@ class RoutingEngine:
         scopes: Mapping[int, FrozenSet[int]],
         targets_list: Sequence[Optional[FrozenSet[int]]],
         timings: Dict[str, float],
-    ) -> List[RoutingOutcome]:
+    ) -> List[CompactOutcome]:
         """Compute every row, no cache involvement.
 
         Rows whose announcements are all plain (every seed announces its
         own one-hop path) go through one :func:`compute_routes_many`
         propagation; forged-path rows get one kernel run each.
         """
-        results: List[Optional[RoutingOutcome]] = [None] * len(seeds_list)
+        results: List[Optional[CompactOutcome]] = [None] * len(seeds_list)
         batchable = [
             i
             for i, seeds in enumerate(seeds_list)
@@ -511,7 +511,7 @@ class RoutingEngine:
         with self._lock:
             self._batches += 1
 
-        outcomes: Dict[int, RoutingOutcome] = {}
+        outcomes: Dict[int, CompactOutcome] = {}
         misses: List[int] = []
         fp = self.fingerprint(graph)
         for dst, srcs in by_dst.items():
@@ -646,7 +646,7 @@ def _init_pool_worker(graph: ASGraph) -> None:
 
 def _compute_chunk(
     chunk: Sequence[Tuple[int, Tuple[int, ...]]]
-) -> List[Tuple[int, Tuple[int, ...], RoutingOutcome, Dict[str, float]]]:
+) -> List[Tuple[int, Tuple[int, ...], CompactOutcome, Dict[str, float]]]:
     """Process-pool worker: compute one chunk of per-destination outcomes,
     each paired with its kernel stage timings for the parent to merge."""
     graph = _worker_graph

@@ -2,9 +2,9 @@
 
 This engine reproduces the *measurement substrate* of §4: a month of BGP
 updates as seen from 4 collectors over 70+ eBGP sessions.  It drives the
-Gao-Rexford routing model (:mod:`repro.asgraph.routing`) around an injected
-event schedule and logs, per collector session, the UPDATE records a RIPE
-collector would have archived.
+Gao-Rexford routing kernel (:mod:`repro.asgraph.fastpath`) around an
+injected event schedule and logs, per collector session, the UPDATE records
+a RIPE collector would have archived.
 
 Fidelity/performance trade-off: instead of flooding individual UPDATE
 messages for a month (what :mod:`repro.bgpsim.simulator` does, and what is
@@ -45,7 +45,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from repro import obs
 from repro.analysis.prefixes import Prefix
-from repro.asgraph.engine import RoutingEngine, shared_engine
+from repro.asgraph.engine import shared_engine
+from repro.asgraph.fastpath import compute_routes_fast
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import (
     Collector,
@@ -123,13 +124,6 @@ class TraceConfig:
     #: one vantage-path table).  Month-scale runs over many origins churn
     #: through far more (origin, excluded) keys than they revisit.
     route_cache_cap: int = 4096
-    #: LRU cap on live per-origin routing sessions
-    session_cache_cap: int = 256
-    #: answer route-cache misses from stateful incremental sessions
-    #: (:meth:`repro.asgraph.engine.RoutingEngine.session`) instead of full
-    #: per-origin propagations.  ``False`` is the full-recompute reference
-    #: the session path is checked against.
-    incremental: bool = True
 
     #: width of the replay windows the streaming pipeline is chopped into
     window_seconds: float = _DAY
@@ -147,8 +141,8 @@ class TraceConfig:
             raise ValueError("need at least one collector session")
         if not 0 <= self.transient_prob <= 1:
             raise ValueError("transient_prob must be a probability")
-        if self.route_cache_cap < 1 or self.session_cache_cap < 1:
-            raise ValueError("cache caps must be positive")
+        if self.route_cache_cap < 1:
+            raise ValueError("route_cache_cap must be positive")
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         if self.max_window_events < 1:
@@ -219,14 +213,8 @@ class TraceEngine:
         tor_prefixes: Iterable[Prefix],
         config: TraceConfig = TraceConfig(),
         observer_asns: Sequence[int] = (),
-        *,
-        engine: Optional[RoutingEngine] = None,
     ) -> None:
         self.graph = graph
-        #: kernel facade; the process-wide engine by default, so repeated
-        #: runs over the same world (countermeasure ablations, seed sweeps
-        #: that share a topology) reuse routing outcomes across runs
-        self.engine = engine if engine is not None else shared_engine()
         self.prefix_origins: Dict[Prefix, int] = dict(prefix_origins)
         self.tor_prefixes: FrozenSet[Prefix] = frozenset(tor_prefixes)
         missing = [p for p in self.tor_prefixes if p not in self.prefix_origins]
@@ -242,24 +230,9 @@ class TraceEngine:
                 raise ValueError(f"observer AS{asn} not in topology")
         self._rng = random.Random(config.seed)
         # relevance-filtered route cache (LRU, capped by
-        # config.route_cache_cap):
+        # config.route_cache_cap), the trace's only route cache:
         # (origin, relevant_excluded) -> ({vantage: path|None}, links_used)
         self._route_cache: "OrderedDict[Tuple[int, FrozenSet[_Link]], Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]]" = OrderedDict()
-        # live incremental routing sessions keyed by origin (LRU, capped
-        # by config.session_cache_cap): core-epoch events become subtree
-        # patches inside a session instead of fresh propagations.  The
-        # shared serve-tier pool replaced the old private OrderedDict;
-        # the historical trace.sessions.* counter names are kept.
-        # Imported lazily: repro.serve pulls in repro.persist, which
-        # imports this module.
-        from repro.serve.pool import SessionPool
-
-        self._pool = SessionPool(
-            graph,
-            engine=self.engine,
-            cap=config.session_cache_cap,
-            counter_prefix="trace.sessions",
-        )
         self._vantages: List[int] = []
         self._vantage_targets: FrozenSet[int] = frozenset()
         self._sessions_by_prefix: Dict[Prefix, List[SessionId]] = {}
@@ -409,10 +382,11 @@ class TraceEngine:
 
         Folds the graph fingerprint, the full config, the prefix table,
         and the observer roster — everything the stream's contents depend
-        on besides the code itself.
+        on besides the code itself.  The graph fingerprint is a content
+        hash, the same under any engine; the shared one memoises it.
         """
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(self.engine.fingerprint(self.graph).encode())
+        digest.update(shared_engine().fingerprint(self.graph).encode())
         digest.update(repr(self.config).encode())
         for prefix in sorted(self.prefix_origins, key=str):
             tor = int(prefix in self.tor_prefixes)
@@ -793,21 +767,15 @@ class TraceEngine:
             cache.move_to_end(key)
             return cached
         obs.add("trace.route_cache.misses")
-        if self.config.incremental:
-            # Borrow the origin's warm session, diffed onto this event's
-            # exclusion set: unchanged links cost nothing, changed links
-            # cost a subtree patch (or a provable no-op) instead of a
-            # fresh propagation.
-            with self._pool.borrow(origin, excluded=excluded) as session:
-                paths = {v: session.path(v) for v in self._vantages}
-        else:
-            outcome = self.engine.outcome(
-                self.graph,
-                [origin],
-                excluded_links=excluded,
-                targets=self._vantage_targets,
-            )
-            paths = {v: outcome.path(v) for v in self._vantages}
+        # The kernel directly, not the engine: an engine outcome would also
+        # be held in the engine's LRU, a second cache under this one.
+        outcome = compute_routes_fast(
+            self.graph,
+            [origin],
+            excluded_links=excluded,
+            targets=self._vantage_targets,
+        )
+        paths = {v: outcome.path(v) for v in self._vantages}
         links: Set[_Link] = set()
         for path in paths.values():
             if path:

@@ -484,7 +484,6 @@ def _follow_churn_events(scenario, follow_days: float):
         scenario.prefix_origins,
         scenario.tor_prefixes,
         trace_cfg,
-        engine=scenario.routing,
     )
     return link_events(engine.open_stream().events)
 

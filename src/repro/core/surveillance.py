@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asgraph.engine import RoutingEngine, shared_engine
-from repro.asgraph.routing import RoutingOutcome
+from repro.asgraph.fastpath import CompactOutcome
 from repro.asgraph.topology import ASGraph
 from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
 
@@ -79,7 +79,7 @@ class SurveillanceModel:
         self.graph = graph
         self.engine = engine if engine is not None else shared_engine()
 
-    def _outcome(self, origin: int) -> RoutingOutcome:
+    def _outcome(self, origin: int) -> CompactOutcome:
         return self.engine.outcome(self.graph, [origin])
 
     def _warm(self, *origins: int) -> None:

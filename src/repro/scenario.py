@@ -215,7 +215,6 @@ class Scenario:
             self.tor_prefixes,
             self.config.trace,
             observer_asns=observer_asns,
-            engine=self.routing,
         )
 
     def run_trace(self, observer_asns: Sequence[int] = ()) -> MonthTrace:

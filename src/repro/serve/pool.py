@@ -1,22 +1,15 @@
 """Warm routing-session pool with an epoch-stamped churn feed.
 
-:class:`SessionPool` generalises the private per-origin session LRU the
-trace engine used to carry (``TraceEngine._session_for``) into a shared,
-first-class subsystem: an LRU-bounded pool of live
+:class:`SessionPool` is an LRU-bounded pool of live
 :class:`~repro.asgraph.incremental.DynamicRoutingSession` objects keyed
 by their announcement set, plus the *current* link-exclusion state those
 sessions are kept in sync with.
 
-Two call patterns share the pool:
-
-- **live serving** (:class:`~repro.serve.facade.QueryFacade`,
-  :class:`~repro.serve.daemon.RoutingDaemon`): the pool owns one global
-  exclusion set fed by :meth:`apply_events` deltas (link ``down``/``up``);
-  every borrow diffs the session onto that state via ``set_excluded``, so
-  a churn event costs a subtree repair instead of a fresh propagation;
-- **trace generation** (:class:`~repro.bgpsim.trace.TraceEngine`): each
-  borrow passes its *own* per-event exclusion set (``excluded=``), and the
-  pool is purely the LRU + single-release eviction discipline.
+The pool serves live queries (:class:`~repro.serve.facade.QueryFacade`,
+:class:`~repro.serve.daemon.RoutingDaemon`): it owns one global exclusion
+set fed by :meth:`apply_events` deltas (link ``down``/``up``), and every
+borrow diffs the session onto that state via ``set_excluded``, so a churn
+event costs a subtree repair instead of a fresh propagation.
 
 Epoch semantics: :meth:`apply_events` is the only writer.  Each call —
 even an empty one — advances the monotonic ``epoch`` by exactly one and
@@ -176,11 +169,9 @@ class _RWGate:
 class SessionPool:
     """LRU-bounded pool of warm routing sessions keyed by announcement set.
 
-    ``counter_prefix`` names the :mod:`repro.obs` counters
-    (``<prefix>.created`` / ``.hits`` / ``.misses`` / ``.evictions`` /
-    ``.repairs`` and the ``<prefix>.epoch`` gauge); the serve tier uses
-    the default ``serve.pool``, the trace engine keeps its historical
-    ``trace.sessions`` names.
+    Counts into the :mod:`repro.obs` counters ``serve.pool.created`` /
+    ``.hits`` / ``.misses`` / ``.evictions`` / ``.repairs`` / ``.events``
+    and the ``serve.pool.epoch`` gauge.
     """
 
     def __init__(
@@ -189,14 +180,12 @@ class SessionPool:
         *,
         engine: Optional[RoutingEngine] = None,
         cap: int = 256,
-        counter_prefix: str = "serve.pool",
     ) -> None:
         if cap < 1:
             raise ValueError("cap must be positive")
         self.graph = graph
         self.engine = engine if engine is not None else shared_engine()
         self.cap = cap
-        self.counter_prefix = counter_prefix
         self._lock = threading.Lock()
         self._gate = _RWGate()
         self._sessions: "OrderedDict[Tuple[int, ...], object]" = OrderedDict()
@@ -270,20 +259,14 @@ class SessionPool:
         return events > noops
 
     @contextmanager
-    def borrow(
-        self,
-        origins: Union[int, Iterable[int]],
-        *,
-        excluded: Optional[FrozenSet[_Link]] = None,
-    ) -> Iterator[object]:
+    def borrow(self, origins: Union[int, Iterable[int]]) -> Iterator[object]:
         """Borrow the warm session for ``origins``; returns it on exit.
 
         The session is taken *out* of the pool for the duration (two
         threads borrowing the same key get distinct sessions), synced to
-        the pool's current exclusion set — or to ``excluded`` when the
-        caller manages its own per-query exclusions, as the trace engine
-        does — and put back on exit even if the body raises, so an error
-        path can never leak an unreleased session.
+        the pool's current exclusion set, and put back on exit even if the
+        body raises, so an error path can never leak an unreleased
+        session.
         """
         if self._closed:
             raise RuntimeError("session pool is closed")
@@ -294,22 +277,21 @@ class SessionPool:
                 self.hits += 1
             else:
                 self.misses += 1
-            target = excluded if excluded is not None else self._excluded
-        prefix = self.counter_prefix
+            target = self._excluded
         if session is None:
-            obs.add(f"{prefix}.misses")
+            obs.add("serve.pool.misses")
             session = self.engine.session(
                 self.graph, list(key), excluded_links=target
             )
             with self._lock:
                 self.created += 1
-            obs.add(f"{prefix}.created")
+            obs.add("serve.pool.created")
         else:
-            obs.add(f"{prefix}.hits")
+            obs.add("serve.pool.hits")
             if self._sync(session, target):
                 with self._lock:
                     self.repairs += 1
-                obs.add(f"{prefix}.repairs")
+                obs.add("serve.pool.repairs")
         try:
             yield session
         finally:
@@ -337,7 +319,7 @@ class SessionPool:
             # Release outside the lock: drops the undo log, children
             # index, and label arrays exactly once per evicted session.
             evicted.release()
-            obs.add(f"{self.counter_prefix}.evictions")
+            obs.add("serve.pool.evictions")
 
     # -- churn feed ----------------------------------------------------------
 
@@ -395,11 +377,10 @@ class SessionPool:
                 self.repairs += len(repaired)
                 for key in dropped:
                     self._sessions.pop(key, None)
-        prefix = self.counter_prefix
         if repaired:
-            obs.add(f"{prefix}.repairs", len(repaired))
-        obs.add(f"{prefix}.events", len(parsed))
-        obs.gauge(f"{prefix}.epoch", epoch)
+            obs.add("serve.pool.repairs", len(repaired))
+        obs.add("serve.pool.events", len(parsed))
+        obs.gauge("serve.pool.epoch", epoch)
         return ChurnReport(
             epoch=epoch,
             events=len(parsed),

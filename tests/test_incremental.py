@@ -10,8 +10,8 @@ degrading rank and steals an intact provider-kind subtree, including the
 equal-length lower-index tiebreak variant); further tests cover the undo
 fast path, forged-tail/export-scope sessions (also diffed against the
 full-recompute reference session in ``tests/oracle/routing.py``),
-graph-mutation recovery, the engine session API, and the trace-layer
-integration (session-backed cache, LRU bounds, link reverse index).
+graph-mutation recovery, the engine session API, and the trace layer's
+route-cache bound and link reverse index.
 """
 
 import pytest
@@ -386,36 +386,13 @@ def _trace_world(seed=0):
 
 
 class TestTraceIntegration:
-    def test_incremental_trace_streams_match_full_recompute(self):
-        graph, prefixes, tor = _trace_world()
-        def run(incremental):
-            cfg = TraceConfig(
-                duration_days=3.0, seed=9, sessions_per_collector=3,
-                collector_names=("rrc00",), incremental=incremental,
-            )
-            engine = TraceEngine(
-                graph, prefixes, tor, cfg, engine=RoutingEngine()
-            )
-            return engine.run()
-
-        a, b = run(True), run(False)
-        assert set(a.streams) == set(b.streams)
-        for session in a.streams:
-            assert [
-                (r.time, r.prefix, r.as_path, r.from_reset)
-                for r in a.streams[session].records
-            ] == [
-                (r.time, r.prefix, r.as_path, r.from_reset)
-                for r in b.streams[session].records
-            ]
-
     def test_route_cache_is_bounded_with_evictions_counted(self):
         graph, prefixes, tor = _trace_world()
         cfg = TraceConfig(
             duration_days=3.0, seed=9, sessions_per_collector=3,
             collector_names=("rrc00",), route_cache_cap=4,
         )
-        engine = TraceEngine(graph, prefixes, tor, cfg, engine=RoutingEngine())
+        engine = TraceEngine(graph, prefixes, tor, cfg)
         recorder = Recorder()
         previous = obs.set_recorder(recorder)
         try:
@@ -427,23 +404,13 @@ class TestTraceIntegration:
         assert counters.get("trace.route_cache.evictions", 0) > 0
         assert recorder.snapshot().gauges["trace.route_cache.size"] <= 4
 
-    def test_session_cache_is_bounded(self):
-        graph, prefixes, tor = _trace_world()
-        cfg = TraceConfig(
-            duration_days=2.0, seed=9, sessions_per_collector=3,
-            collector_names=("rrc00",), session_cache_cap=2,
-        )
-        engine = TraceEngine(graph, prefixes, tor, cfg, engine=RoutingEngine())
-        engine.run()
-        assert 0 < len(engine._pool) <= 2
-
     def test_link_reverse_index_matches_linear_scan(self):
         graph, prefixes, tor = _trace_world()
         cfg = TraceConfig(
             duration_days=3.0, seed=9, sessions_per_collector=3,
             collector_names=("rrc00",),
         )
-        engine = TraceEngine(graph, prefixes, tor, cfg, engine=RoutingEngine())
+        engine = TraceEngine(graph, prefixes, tor, cfg)
         engine.run()
         all_links = {l for links in engine._prefix_links.values() for l in links}
         assert all_links  # the run must have produced routed prefixes
@@ -458,5 +425,3 @@ class TestTraceIntegration:
     def test_cache_cap_validation(self):
         with pytest.raises(ValueError):
             TraceConfig(route_cache_cap=0)
-        with pytest.raises(ValueError):
-            TraceConfig(session_cache_cap=0)

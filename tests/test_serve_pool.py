@@ -17,6 +17,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.asgraph import TopologyConfig, generate_topology
 from repro.asgraph.engine import RoutingEngine
 from repro.serve.api import (
@@ -209,6 +210,61 @@ class TestSessionPool:
             for asn in sorted(tiny_graph.ases):
                 assert cold.path(asn) == baseline.path(asn)
 
+
+class TestSessionLRURelease:
+    """Eviction from the pool must actually release the evicted sessions
+    (undo log, children index, label arrays), tick ``serve.pool.*`` exactly
+    once per evicted origin, and re-admit an evicted key as a fresh
+    session."""
+
+    CAP = 3
+
+    def churn(self, num_origins):
+        graph = generate_topology(
+            TopologyConfig(num_ases=80, num_tier1=3, num_tier2=15, seed=3)
+        )
+        pool = SessionPool(graph, engine=RoutingEngine(), cap=self.CAP)
+        origins = sorted(graph.ases)[:num_origins]
+        recorder = obs.Recorder()
+        previous = obs.set_recorder(recorder)
+        try:
+            created = {}
+            for origin in origins:
+                with pool.borrow(origin) as session:
+                    created[origin] = session
+        finally:
+            obs.set_recorder(previous)
+        return pool, origins, created, recorder.snapshot().counters
+
+    def test_counter_ticks_once_per_evicted_origin(self):
+        pool, origins, _created, counters = self.churn(10)
+        assert counters["serve.pool.created"] == len(origins)
+        assert counters["serve.pool.evictions"] == len(origins) - self.CAP
+        assert len(pool) == self.CAP
+
+    def test_evicted_sessions_are_released(self):
+        pool, origins, created, _counters = self.churn(10)
+        live = {key[0] for key in pool.keys()}
+        assert live == set(origins[-self.CAP :])
+        for origin, session in created.items():
+            if origin in live:
+                assert not session.released
+                assert session.path(origin) == (origin,)
+            else:
+                assert session.released
+                with pytest.raises(RuntimeError, match="released"):
+                    session.path(origin)
+                with pytest.raises(RuntimeError, match="released"):
+                    session.exclude_link((origin, origin + 1))
+
+    def test_readmission_builds_a_fresh_session(self):
+        pool, origins, created, _counters = self.churn(10)
+        evicted_origin = origins[0]
+        assert (evicted_origin,) not in pool.keys()
+        with pool.borrow(evicted_origin) as fresh:
+            assert fresh is not created[evicted_origin]
+            assert not fresh.released
+            assert fresh.path(evicted_origin) == (evicted_origin,)
 
 class TestCacheEpochVersioning:
     def test_only_unproven_dependencies_invalidated(self):

@@ -5,7 +5,8 @@ links (a fixpoint), not the full global exclusion state.  These tests pin
 the correctness claim: the filtered result must equal a direct
 Gao-Rexford computation by the reference kernel in
 ``tests/oracle/routing.py`` under the full exclusion set, for arbitrary
-exclusion sets.
+exclusion sets.  One more pins that this cache is the trace's only one:
+a run stores nothing in the shared routing engine.
 """
 
 import itertools
@@ -14,9 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.analysis.prefixes import Prefix
 from repro.asgraph import TopologyConfig, generate_topology
+from repro.asgraph.engine import RoutingEngine, set_shared_engine, shared_engine
 from repro.bgpsim.trace import TraceConfig, TraceEngine
 from tests.oracle.routing import compute_routes
 
@@ -108,67 +109,25 @@ class TestFilteredCacheSoundness:
         assert engine._canonical_detour({1: (1,)}) is None
 
 
-class TestSessionLRURelease:
-    """Eviction from the trace engine's shared session pool must actually
-    release the evicted sessions (undo log, children index, label arrays)
-    and tick the eviction counter exactly once per evicted origin."""
-
-    CAP = 3
-
-    def churn(self, num_origins):
-        graph = generate_topology(
-            TopologyConfig(num_ases=80, num_tier1=3, num_tier2=15, seed=3)
-        )
-        prefixes = {Prefix.parse(f"10.0.{i}.0/24"): 40 + i for i in range(10)}
-        engine = TraceEngine(
-            graph,
-            prefixes,
-            tor_prefixes=list(prefixes)[:5],
-            config=TraceConfig(
-                sessions_per_collector=4,
-                collector_names=("rrc00",),
-                seed=3,
-                session_cache_cap=self.CAP,
-            ),
-        )
-        origins = sorted(graph.ases)[: num_origins]
-        recorder = obs.Recorder()
-        previous = obs.set_recorder(recorder)
+class TestOneRouteCache:
+    def test_run_leaves_the_shared_engine_untouched(self):
+        """Route-cache misses run the kernel directly: a whole run adds no
+        query, cached outcome or session to the shared engine, so the
+        trace's own LRU is the only place its routes are held."""
+        previous = shared_engine()
+        fresh = RoutingEngine()
+        set_shared_engine(fresh)
         try:
-            created = {}
-            for origin in origins:
-                with engine._pool.borrow(origin) as session:
-                    created[origin] = session
+            _graph, engine = build_engine(seed=3)
+            before = fresh.stats()
+            trace = engine.run()
+            after = fresh.stats()
         finally:
-            obs.set_recorder(previous)
-        return engine, origins, created, recorder.snapshot().counters
-
-    def test_counter_ticks_once_per_evicted_origin(self):
-        engine, origins, _created, counters = self.churn(10)
-        assert counters["trace.sessions.created"] == len(origins)
-        assert counters["trace.sessions.evictions"] == len(origins) - self.CAP
-        assert len(engine._pool) == self.CAP
-
-    def test_evicted_sessions_are_released(self):
-        engine, origins, created, _counters = self.churn(10)
-        live = {key[0] for key in engine._pool.keys()}
-        assert live == set(origins[-self.CAP :])
-        for origin, session in created.items():
-            if origin in live:
-                assert not session.released
-                assert session.path(origin) == (origin,)
-            else:
-                assert session.released
-                with pytest.raises(RuntimeError, match="released"):
-                    session.path(origin)
-                with pytest.raises(RuntimeError, match="released"):
-                    session.exclude_link((origin, origin + 1))
-
-    def test_readmission_builds_a_fresh_session(self):
-        engine, origins, created, _counters = self.churn(10)
-        evicted_origin = origins[0]
-        assert (evicted_origin,) not in engine._pool.keys()
-        with engine._pool.borrow(evicted_origin) as fresh:
-            assert fresh is not created[evicted_origin]
-            assert not fresh.released
-            assert fresh.path(evicted_origin) == (evicted_origin,)
+            set_shared_engine(previous)
+        assert sum(len(s) for s in trace.streams.values()) > 0
+        assert len(engine._route_cache) > 0
+        assert (after.queries, after.entries, after.sessions) == (
+            before.queries,
+            before.entries,
+            before.sessions,
+        )
