@@ -15,11 +15,11 @@ and measures the unified query API over the wire (see
   divergence fails the run (this is the acceptance criterion the CI
   serve-smoke job also enforces);
 - **churn workload** — interleaved ``apply-events`` batches and query
-  batches against the live daemon (the warm
-  :class:`~repro.serve.pool.SessionPool` path, epoch by epoch) versus a
-  cold facade rebuilt per epoch on a fresh engine with that epoch's
-  exclusion set; warm must be >= 5x cold and every epoch's responses
-  must be bit-identical to the cold recompute.
+  batches against the live daemon (the
+  :class:`~repro.asgraph.routecache.LiveRoutes` path, epoch by epoch)
+  versus a cold facade rebuilt per epoch on a fresh engine with that
+  epoch's exclusion set; warm must be >= 5x cold and every epoch's
+  responses must be bit-identical to the cold recompute.
 
 Usage::
 
@@ -54,7 +54,7 @@ from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.daemon import RoutingDaemon, ServeConfig  # noqa: E402
 from repro.serve.facade import QueryFacade  # noqa: E402
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "results",
@@ -66,7 +66,10 @@ class DaemonHandle:
     """A daemon on a background thread; ``stop()`` shuts it down cleanly."""
 
     def __init__(
-        self, graph, cache_entries: int = 65536, pool_entries: int = 256
+        self,
+        graph,
+        cache_entries: int = ServeConfig.cache_entries,
+        pool_entries: int = ServeConfig.pool_entries,
     ) -> None:
         self.daemon = RoutingDaemon(
             graph,
@@ -273,38 +276,37 @@ def run_churn_suite(
     num_epochs: int,
     seed: int,
 ) -> Dict:
-    """Interleaved churn + queries: warm session pool vs per-epoch cold.
+    """Interleaved churn + queries: live route cache vs per-epoch cold.
 
     Epoch ``i`` fails core link ``i`` and restores link ``i - 1``, then
     answers the same mixed workload.  The warm side is the serving
-    configuration — ``apply_events`` + pooled sessions + epoch-versioned
+    configuration — ``apply_events`` + live route trees + epoch-versioned
     cache; the cold side rebuilds a facade on a fresh engine with the
     epoch's exclusion set and recomputes everything.  Both sides are
     timed in-process through the same ``QueryFacade`` execution path, so
-    the ratio measures the pool, not JSON framing.  A live daemon rides
-    along (untimed) answering the same events and batches over the wire;
-    its responses must match the cold recompute at every epoch — the
-    bit-identical acceptance gate.
+    the ratio measures the live routes, not JSON framing.  A live daemon
+    rides along (untimed) answering the same events and batches over the
+    wire; its responses must match the cold recompute at every epoch —
+    the bit-identical acceptance gate.
 
-    The pool is sized to the workload's distinct-origin working set and
-    warmed with one untimed pass first — this measures steady-state
-    serving under churn, not the one-off session build (which the main
-    suite's cold pass already covers).
+    The route cache is sized to hold the workload's distinct-origin
+    working set and warmed with one untimed pass first — this measures
+    steady-state serving under churn, not the one-off tree builds (which
+    the main suite's cold pass already covers).
     """
+    from repro.asgraph.routecache import LiveRoutes
     from repro.serve.facade import ResultCache
-    from repro.serve.pool import SessionPool
 
     graph = _build_world(num_ases, seed)
     queries = _workload(graph, num_queries, seed + 1)
     batches = _chunks(queries, batch_size)
     links = _core_links(graph, num_epochs, seed + 2)
 
-    warm_engine = RoutingEngine()
-    pool = SessionPool(graph, engine=warm_engine, cap=8 * num_queries)
+    live = LiveRoutes(graph, cap=8 * num_queries)
     warm = QueryFacade(
-        graph, engine=warm_engine, cache=ResultCache(), pool=pool
+        graph, engine=RoutingEngine(), cache=ResultCache(), live=live
     )
-    for chunk in batches:  # warm the pool + cache, untimed
+    for chunk in batches:  # warm the route trees + cache, untimed
         warm.execute_batch(BatchRequest(queries=chunk))
 
     epochs: List[Dict] = []
@@ -315,7 +317,7 @@ def run_churn_suite(
     try:
         print(f"  churn daemon on {handle.host}:{handle.port}, n={num_ases}")
         with handle.connect() as client:
-            _run_batches(client, batches)  # warm the daemon's pool too
+            _run_batches(client, batches)  # warm the daemon's trees too
             excluded: set = set()
             for i in range(num_epochs):
                 events = [("down", links[i])]
@@ -354,13 +356,13 @@ def run_churn_suite(
                         f"epoch {wire_report['epoch']}: daemon exclusion set "
                         f"{wire_report['excluded']} != expected {wire_excluded}"
                     )
-                for j, (pooled, reference) in enumerate(
+                for j, (served, reference) in enumerate(
                     zip(warm_results, cold_results)
                 ):
-                    if encode(pooled) != encode(reference):
+                    if encode(served) != encode(reference):
                         defects.append(
                             f"epoch {report.epoch} query {j}: "
-                            f"pooled={encode(pooled)} cold={encode(reference)}"
+                            f"live={encode(served)} cold={encode(reference)}"
                         )
                         if len(defects) > 5:
                             break
@@ -398,7 +400,7 @@ def run_churn_suite(
     finally:
         handle.stop()
 
-    stats = pool.stats()
+    stats = live.stats()
     speedup = cold_total / warm_total if warm_total else None
     return {
         "config": {
@@ -414,15 +416,15 @@ def run_churn_suite(
         "cold_seconds": cold_total,
         "speedup": speedup,
         "epochs": epochs,
-        "pool": {
+        "routes": {
             "epoch": stats.epoch,
-            "sessions": stats.sessions,
+            "trees": stats.trees,
             "hits": stats.hits,
             "misses": stats.misses,
             "evictions": stats.evictions,
             "repairs": stats.repairs,
             "excluded": sorted(
-                sorted(link) for link in pool.excluded_links
+                sorted(link) for link in live.excluded_links
             ),
         },
     }
@@ -554,7 +556,7 @@ def main(argv=None) -> int:
     speedup = document["throughput"]["warm_speedup"]
     print(f"warm vs cold: {speedup:.2f}x")
     churn_speedup = document["churn"]["speedup"]
-    print(f"churn warm-pool vs cold recompute: {churn_speedup:.2f}x")
+    print(f"churn live routes vs cold recompute: {churn_speedup:.2f}x")
     if not args.smoke and speedup < 5.0:
         print(
             f"acceptance criterion FAILED: warm-cache throughput"
@@ -564,7 +566,7 @@ def main(argv=None) -> int:
         return 1
     if not args.smoke and churn_speedup < 5.0:
         print(
-            f"acceptance criterion FAILED: churn workload warm pool"
+            f"acceptance criterion FAILED: churn workload live routes"
             f" {churn_speedup:.2f}x < 5x cold recompute",
             file=sys.stderr,
         )

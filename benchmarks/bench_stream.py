@@ -16,8 +16,9 @@ Gates the stream-first refactor of the trace pipeline (see
   peak window memory (``peak_window_events``) stays flat as the trace
   grows from one month to a year while total records grow ~linearly;
 - **RFD comparison** — dwell-qualified exposed-AS growth with damping
-  off vs the Cisco and Juniper vendor defaults, written to
-  ``results/E15_rfd.txt``.
+  off vs the Cisco and Juniper vendor defaults; the full run's 30-day
+  table is ``results/E15_rfd.txt``, a ``--smoke`` run only prints its
+  10-day table.
 
 Usage::
 
@@ -258,6 +259,7 @@ def rfd_comparison(
     collectors: int,
     sessions_per_collector: int,
     tor_flaps_median: float,
+    write_e15: bool,
 ) -> Dict:
     # The Tor flap median is raised to the heavy-flapper regime of
     # Figure 3's tail — damping only engages on dense flap bursts, and
@@ -328,7 +330,10 @@ def rfd_comparison(
             f"{stats[vendor]['suppressed_records']:,} updates yet "
             f"{kept:.0%} of the undamped exposure remains"
         )
-    report("E15_rfd", lines)
+    if write_e15:
+        report("E15_rfd", lines)
+    else:
+        print("\n".join(lines))
 
     defects: List[str] = []
     for vendor in ("cisco", "juniper"):
@@ -419,6 +424,7 @@ def run_suite(args) -> Dict:
         collectors=4,
         sessions_per_collector=2,
         tor_flaps_median=rfd_flaps,
+        write_e15=not args.smoke,
     )
 
     return {

@@ -7,12 +7,18 @@ from repro.asgraph.routing import Route, RoutingOutcome, as_path
 from repro.asgraph.index import GraphIndex, graph_index
 from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
 from repro.asgraph.batch import BatchOutcome, compute_routes_many
-from repro.asgraph.incremental import DynamicRoutingSession, SessionStats
 from repro.asgraph.engine import (
     EngineStats,
     RoutingEngine,
     shared_engine,
     set_shared_engine,
+)
+from repro.asgraph.routecache import (
+    ChurnReport,
+    LiveRoutes,
+    LiveStats,
+    RouteCache,
+    normalize_events,
 )
 from repro.asgraph.inference import InferenceResult, infer_relationships
 from repro.asgraph.ixp import IXP, IXPModel, assign_ixps
@@ -32,12 +38,15 @@ __all__ = [
     "compute_routes_fast",
     "BatchOutcome",
     "compute_routes_many",
-    "DynamicRoutingSession",
-    "SessionStats",
     "EngineStats",
     "RoutingEngine",
     "shared_engine",
     "set_shared_engine",
+    "ChurnReport",
+    "LiveRoutes",
+    "LiveStats",
+    "RouteCache",
+    "normalize_events",
     "InferenceResult",
     "infer_relationships",
     "IXP",

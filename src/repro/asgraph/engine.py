@@ -39,11 +39,11 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -56,10 +56,17 @@ from typing import (
 
 from repro.asgraph.batch import compute_routes_many
 from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
-from repro.asgraph.incremental import DynamicRoutingSession
 from repro.asgraph.index import graph_index
 from repro.asgraph.routing import _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
+
+if TYPE_CHECKING:
+    from repro.serve.api import (
+        OutcomeBatch,
+        OutcomeBatchResult,
+        PathBatch,
+        PathBatchResult,
+    )
 
 __all__ = [
     "EngineStats",
@@ -89,8 +96,6 @@ class EngineStats:
     #: paths_many calls, and how many of them used the process pool
     batches: int
     parallel_batches: int
-    #: routing sessions handed out via :meth:`RoutingEngine.session`
-    sessions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -105,8 +110,7 @@ class EngineStats:
             f"({self.hit_rate:.1%}), {self.misses} misses, "
             f"{self.evictions} evictions, {self.entries} cached outcomes; "
             f"kernel {self.compute_seconds:.3f}s [{stages}]; "
-            f"{self.batches} batches ({self.parallel_batches} parallel); "
-            f"{self.sessions} sessions"
+            f"{self.batches} batches ({self.parallel_batches} parallel)"
         )
 
 
@@ -132,7 +136,6 @@ class RoutingEngine:
         self._stage_seconds: Dict[str, float] = {}
         self._batches = 0
         self._parallel_batches = 0
-        self._sessions = 0
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -260,22 +263,14 @@ class RoutingEngine:
         return outcome
 
     def outcomes_many(
-        self,
-        graph: ASGraph,
-        origins: object,
-        excluded_links: Optional[Iterable[_Link]] = None,
-        origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-        targets: Optional[object] = None,
-    ):
+        self, graph: ASGraph, batch: "OutcomeBatch"
+    ) -> "OutcomeBatchResult":
         """A batch of :meth:`outcome` calls answered in one kernel pass.
 
-        The typed form takes an :class:`~repro.serve.api.OutcomeBatch`
-        (row specs plus the batch-wide excluded links / export scopes /
-        targets) and returns an
-        :class:`~repro.serve.api.OutcomeBatchResult`, input order
-        preserved.  The legacy form — a raw sequence of announcement
-        specs with loose keyword arguments — still works but emits a
-        ``DeprecationWarning``; build an ``OutcomeBatch`` instead.
+        Takes an :class:`~repro.serve.api.OutcomeBatch` (row specs plus
+        the batch-wide excluded links / export scopes / targets) and
+        returns an :class:`~repro.serve.api.OutcomeBatchResult`, input
+        order preserved.
 
         Warm rows are answered from the LRU; the misses are routed
         together through
@@ -284,47 +279,12 @@ class RoutingEngine:
         ordinary per-origin keys — a batch warms the cache exactly like
         the equivalent loop of :meth:`outcome` calls, and vice versa.
         """
-        from repro.serve.api import OutcomeBatch, OutcomeBatchResult
+        from repro.serve.api import OutcomeBatchResult
 
-        if isinstance(origins, OutcomeBatch):
-            batch = origins
-            outs = self._outcomes_many_rows(
-                graph,
-                batch.rows,
-                excluded_links=batch.excluded_links,
-                origin_export_scopes=(
-                    dict(batch.origin_export_scopes)
-                    if batch.origin_export_scopes is not None
-                    else None
-                ),
-                targets=batch.targets,
-            )
-            return OutcomeBatchResult(outcomes=tuple(outs))
-        warnings.warn(
-            "outcomes_many(graph, [specs...]) with loose arguments is "
-            "deprecated; pass a repro.serve.api.OutcomeBatch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._outcomes_many_rows(
-            graph,
-            origins,  # type: ignore[arg-type]
-            excluded_links=excluded_links,
-            origin_export_scopes=origin_export_scopes,
-            targets=targets,
-        )
-
-    def _outcomes_many_rows(
-        self,
-        graph: ASGraph,
-        origins: Sequence[_OriginsArg],
-        excluded_links: Optional[Iterable[_Link]] = None,
-        origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-        targets: Optional[object] = None,
-    ) -> List[CompactOutcome]:
-        seeds_list = [_normalise_origins(spec) for spec in origins]
-        excluded = frozenset(excluded_links) if excluded_links else frozenset()
-        all_scopes = dict(origin_export_scopes) if origin_export_scopes else {}
+        seeds_list = [_normalise_origins(spec) for spec in batch.rows]
+        excluded = frozenset(batch.excluded_links or ())
+        all_scopes = dict(batch.origin_export_scopes or ())
+        targets = batch.targets
         if targets is None:
             tlist: List[Optional[FrozenSet[int]]] = [None] * len(seeds_list)
         elif isinstance(targets, (frozenset, set)):
@@ -338,7 +298,7 @@ class RoutingEngine:
                     f"{len(seeds_list)} origin rows"
                 )
         if not seeds_list:
-            return []
+            return OutcomeBatchResult(outcomes=())
         fp = self.fingerprint(graph)
         keys = [
             self._base_key(
@@ -381,7 +341,7 @@ class RoutingEngine:
                     self._store(keys[row], tlist[row], out)
             for row, out in zip(miss_rows, outs):
                 results[row] = out
-        return results  # type: ignore[return-value]
+        return OutcomeBatchResult(outcomes=tuple(results))
 
     def _compute_many_raw(
         self,
@@ -444,56 +404,36 @@ class RoutingEngine:
         :func:`repro.asgraph.routing.as_path`."""
         return self.outcome(graph, (dst,), targets=frozenset((src,))).path(src)
 
-    def paths_many(
-        self,
-        graph: ASGraph,
-        pairs: object,
-        workers: Optional[int] = None,
-        chunk_size: int = 8,
-    ):
+    def paths_many(self, graph: ASGraph, batch: "PathBatch") -> "PathBatchResult":
         """Batch path queries through one grouped kernel pass.
 
-        The typed form takes a :class:`~repro.serve.api.PathBatch`
-        (queries plus the pool fan-out knobs) and returns a
+        Takes a :class:`~repro.serve.api.PathBatch` (queries plus the
+        process-pool fan-out knobs) and returns a
         :class:`~repro.serve.api.PathBatchResult` — per-query
         :class:`~repro.serve.api.PathResult` rows, input order preserved,
-        with ``.mapping()`` recovering the legacy dict view.  The legacy
-        form — an iterable of ``(src, dst)`` tuples returning
-        ``{(src, dst): path or None}`` — still works but emits a
-        ``DeprecationWarning``; build a ``PathBatch`` instead.
+        with ``.mapping()`` for the ``{(src, dst): path}`` view.
 
         Queries are grouped by destination — one kernel run per origin with
         the merged source set as its early-exit targets — and answered from
-        (and stored into) the cache.  With ``workers`` set, destinations
+        (and stored into) the cache.  With ``batch.workers`` set, destinations
         that miss the cache are chunked and fanned out across a
         ``ProcessPoolExecutor``; the inputs are plain picklable values and
         the returned outcomes are folded back into the cache, so a parallel
         batch warms the cache exactly like a serial one.
         """
-        from repro.serve.api import PathBatch, PathBatchResult, PathResult
+        from repro.serve.api import PathBatchResult, PathResult
 
-        if isinstance(pairs, PathBatch):
-            batch = pairs
-            mapping = self._paths_many_pairs(
-                graph,
-                [(q.src, q.dst) for q in batch.queries],
-                workers=workers if workers is not None else batch.workers,
-                chunk_size=batch.chunk_size if chunk_size == 8 else chunk_size,
-            )
-            return PathBatchResult(
-                results=tuple(
-                    PathResult(src=q.src, dst=q.dst, path=mapping[(q.src, q.dst)])
-                    for q in batch.queries
-                )
-            )
-        warnings.warn(
-            "paths_many(graph, pairs) with raw tuples is deprecated; "
-            "pass a repro.serve.api.PathBatch",
-            DeprecationWarning,
-            stacklevel=2,
+        mapping = self._paths_many_pairs(
+            graph,
+            [(q.src, q.dst) for q in batch.queries],
+            workers=batch.workers,
+            chunk_size=batch.chunk_size,
         )
-        return self._paths_many_pairs(
-            graph, pairs, workers=workers, chunk_size=chunk_size
+        return PathBatchResult(
+            results=tuple(
+                PathResult(src=q.src, dst=q.dst, path=mapping[(q.src, q.dst)])
+                for q in batch.queries
+            )
         )
 
     def _paths_many_pairs(
@@ -590,30 +530,6 @@ class RoutingEngine:
         # result dict is built in input order regardless of batching.
         return {(src, dst): outcomes[dst].path(src) for src, dst in order}
 
-    def session(
-        self,
-        graph: ASGraph,
-        origins: _OriginsArg,
-        excluded_links: Optional[Iterable[_Link]] = None,
-        origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-    ) -> DynamicRoutingSession:
-        """A stateful routing session over one announcement set: a
-        :class:`~repro.asgraph.incremental.DynamicRoutingSession`, which
-        maintains its routes by delta on churn events.
-
-        Sessions are live views, not cache entries: they share nothing with
-        the outcome cache and are not invalidated by :meth:`invalidate`
-        (they watch ``graph.version`` themselves).
-        """
-        with self._lock:
-            self._sessions += 1
-        return DynamicRoutingSession(
-            graph,
-            origins,
-            excluded_links=excluded_links,
-            origin_export_scopes=origin_export_scopes,
-        )
-
     # -- instrumentation -----------------------------------------------------
 
     def stats(self) -> EngineStats:
@@ -628,7 +544,6 @@ class RoutingEngine:
                 stage_seconds=dict(self._stage_seconds),
                 batches=self._batches,
                 parallel_batches=self._parallel_batches,
-                sessions=self._sessions,
             )
 
 

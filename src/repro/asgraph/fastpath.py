@@ -222,6 +222,47 @@ class CompactOutcome:
 
     # -- fast-path extras ----------------------------------------------------
 
+    def links_crossed(
+        self, links: Iterable[FrozenSet[int]]
+    ) -> FrozenSet[FrozenSet[int]]:
+        """The links among ``links`` that some selected route propagates over.
+
+        A route crosses link ``{a, b}`` exactly when one endpoint's parent
+        pointer names the other, so this costs two array probes per link
+        and materialises no path.  (A forged announcement's own tail is
+        not propagated, and excluding its links changes nothing.)
+        """
+        idx = self._gi.idx
+        parent = self._parent
+        crossed = []
+        for link in links:
+            a, b = link
+            ia = idx.get(a)
+            ib = idx.get(b)
+            if ia is not None and ib is not None and (
+                parent[ia] == ib or parent[ib] == ia
+            ):
+                crossed.append(link)
+        return frozenset(crossed)
+
+    def detached(self) -> "CompactOutcome":
+        """A :class:`~repro.asgraph.batch.BatchOutcome` row copied to lists.
+
+        A batch row is a numpy view: it keeps the whole batch block alive
+        and pays numpy scalar access on every read.  The copy stands alone
+        and reads like a :func:`compute_routes_fast` outcome.
+        """
+        return CompactOutcome(
+            self._gi,
+            self._plen.tolist(),
+            self._parent.tolist(),
+            bytearray(self._kind.tobytes()),
+            self._seed.tolist(),
+            self._seed_paths,
+            self._origins,
+            self._num_routed,
+        )
+
     def rebind_index(self, gi: GraphIndex) -> None:
         """Swap in an equivalent :class:`GraphIndex` (same topology).
 

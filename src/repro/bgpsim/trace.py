@@ -39,7 +39,6 @@ import heapq
 import math
 import random
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -47,6 +46,7 @@ from repro import obs
 from repro.analysis.prefixes import Prefix
 from repro.asgraph.engine import shared_engine
 from repro.asgraph.fastpath import compute_routes_fast
+from repro.asgraph.routecache import RouteCache
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import (
     Collector,
@@ -68,6 +68,8 @@ __all__ = [
 
 _DAY = 86_400.0
 _Link = FrozenSet[int]
+#: a route-cache entry: ({vantage: path or None}, links those paths cross)
+_VantageEntry = Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,14 @@ class TraceEngine:
             if asn not in graph:
                 raise ValueError(f"observer AS{asn} not in topology")
         self._rng = random.Random(config.seed)
-        # relevance-filtered route cache (LRU, capped by
-        # config.route_cache_cap), the trace's only route cache:
+        # the trace's only route cache, relevance-filtered:
         # (origin, relevant_excluded) -> ({vantage: path|None}, links_used)
-        self._route_cache: "OrderedDict[Tuple[int, FrozenSet[_Link]], Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]]" = OrderedDict()
+        self._route_cache: RouteCache[_VantageEntry] = RouteCache(
+            self._paths_for_key,
+            lambda entry, links: entry[1] & links,
+            cap=config.route_cache_cap,
+            counters="trace.route_cache",
+        )
         self._vantages: List[int] = []
         self._vantage_targets: FrozenSet[int] = frozenset()
         self._sessions_by_prefix: Dict[Prefix, List[SessionId]] = {}
@@ -732,41 +738,21 @@ class TraceEngine:
 
     def _vantage_paths(
         self, origin: int, local: FrozenSet[_Link], global_excluded: FrozenSet[_Link]
-    ) -> Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]:
+    ) -> _VantageEntry:
         """Vantage paths to ``origin`` plus the union of links they cross.
 
         ``local`` are exclusions known to matter (the origin's own TE state,
         a transient's detour link); ``global_excluded`` is the full current
-        exclusion set (core outages included).  Results are cached with
-        *relevance filtering*: the cache key only grows with the excluded
-        links the computed routes would otherwise cross.  Most core-link
-        failures are irrelevant to most origins, so keying on the global
-        state would recompute every origin on every core epoch.
-
-        Soundness of the fixpoint: a route set computed under a subset
-        ``E' ⊆ global`` whose paths avoid *all* of ``global`` is feasible
-        under the full exclusion, and optimal under fewer constraints —
-        hence optimal under the full exclusion too.
+        exclusion set (core outages included).  The route cache keys each
+        result on only the excluded links its paths would otherwise cross
+        (:meth:`~repro.asgraph.routecache.RouteCache.resolve`): most
+        core-link failures are irrelevant to most origins, so keying on the
+        global state would recompute every origin on every core epoch.
         """
-        relevant = local
-        while True:
-            paths, links = self._paths_for_key(origin, relevant)
-            violated = (global_excluded - relevant) & links
-            if not violated:
-                return paths, links
-            relevant = relevant | violated
+        entry, _relevant = self._route_cache.resolve(origin, global_excluded, local)
+        return entry
 
-    def _paths_for_key(
-        self, origin: int, excluded: FrozenSet[_Link]
-    ) -> Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]:
-        key = (origin, excluded)
-        cache = self._route_cache
-        cached = cache.get(key)
-        if cached is not None:
-            obs.add("trace.route_cache.hits")
-            cache.move_to_end(key)
-            return cached
-        obs.add("trace.route_cache.misses")
+    def _paths_for_key(self, origin: int, excluded: FrozenSet[_Link]) -> _VantageEntry:
         # The kernel directly, not the engine: an engine outcome would also
         # be held in the engine's LRU, a second cache under this one.
         outcome = compute_routes_fast(
@@ -781,13 +767,7 @@ class TraceEngine:
             if path:
                 for a, b in zip(path, path[1:]):
                     links.add(frozenset((a, b)))
-        entry = (paths, frozenset(links))
-        cache[key] = entry
-        while len(cache) > self.config.route_cache_cap:
-            cache.popitem(last=False)
-            obs.add("trace.route_cache.evictions")
-        obs.gauge("trace.route_cache.size", len(cache))
-        return entry
+        return paths, frozenset(links)
 
     def _set_prefix_links(self, prefix: Prefix, links: FrozenSet[_Link]) -> None:
         """Record the links under a prefix's current vantage paths, keeping

@@ -43,6 +43,7 @@ from repro.cli.results import (
     TransferResult,
     UsersResult,
 )
+from repro.persist import CheckpointError
 from repro.scenario import Scenario, ScenarioConfig
 
 __all__ = ["main"]
@@ -763,8 +764,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-cache capacity (default: 65536)",
     )
     serve.add_argument(
-        "--pool-entries", type=int, default=256,
-        help="warm per-origin session pool capacity (default: 256)",
+        "--pool-entries", type=int, default=1024,
+        help="live route cache capacity in route trees (default: 1024)",
     )
     serve.add_argument(
         "--follow", type=float, metavar="DAYS", default=None,
@@ -830,6 +831,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(render(result, plot=getattr(args, "plot", False)))
         return 0
+    except CheckpointError as exc:
+        # A checkpoint that cannot be resumed is the user's file, not a
+        # program fault: say what is wrong with it, without a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     finally:
         from repro.asgraph.engine import shared_engine
 

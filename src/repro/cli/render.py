@@ -265,8 +265,8 @@ def render_serve(result: ServeResult, plot: bool = False) -> str:
             f"{result.errors} errors)",
             f"result cache:    {result.cache_entries} entries, "
             f"{result.cache_hits} hits, {result.cache_misses} misses",
-            f"session pool:    epoch {result.epoch}, "
-            f"{result.pool_sessions} warm sessions, "
+            f"route cache:     epoch {result.epoch}, "
+            f"{result.pool_sessions} trees, "
             f"{result.pool_hits} hits, {result.pool_misses} misses, "
             f"{result.pool_evictions} evictions, {result.pool_repairs} repairs",
             f"churn replay:    {result.follow_windows} windows, "

@@ -8,6 +8,7 @@ questions — in-process callers execute it through
 bit-identical results.
 """
 
+from repro.asgraph.routecache import ChurnReport, LiveRoutes
 from repro.serve.api import (
     API_SCHEMA_VERSION,
     BatchRequest,
@@ -32,7 +33,6 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import RoutingDaemon, ServeConfig, ServeStats
 from repro.serve.facade import QueryFacade, ResultCache
 from repro.serve.follow import ChurnFeed, LinkEvent, follow, link_events
-from repro.serve.pool import ChurnReport, PoolStats, SessionPool
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -66,9 +66,8 @@ __all__ = [
     "ServeStats",
     "QueryFacade",
     "ResultCache",
-    "SessionPool",
+    "LiveRoutes",
     "ChurnReport",
-    "PoolStats",
     "ChurnFeed",
     "LinkEvent",
     "follow",

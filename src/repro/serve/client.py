@@ -114,7 +114,7 @@ class ServeClient:
         return response
 
     def apply_events(self, events: Iterable[object]) -> dict:
-        """Feed link up/down deltas into the daemon's session pool.
+        """Feed link up/down deltas into the daemon's live routes.
 
         ``events`` are ``("down", (a, b))`` / ``("up", (a, b))`` tuples or
         wire-form ``{"op": ..., "link": [a, b]}`` dicts.  Returns the churn

@@ -23,7 +23,7 @@ the unified query API (:mod:`repro.serve.api`) over the JSONL protocol
   reloaded from :mod:`repro.persist` checkpoints while running; snapshots
   carry the topology epoch and refuse a daemon whose epoch differs;
 - **live churn** — the ``apply-events`` op feeds link up/down deltas into
-  the daemon's :class:`~repro.serve.pool.SessionPool`, bumping the
+  the daemon's :class:`~repro.asgraph.routecache.LiveRoutes`, bumping the
   topology epoch atomically with respect to in-flight batches (a batch's
   answers are always entirely from epoch N or entirely from N+1) and
   invalidating exactly the affected cache entries.
@@ -37,26 +37,26 @@ from typing import Optional, Tuple
 
 from repro import obs
 from repro.asgraph.engine import RoutingEngine, shared_engine
+from repro.asgraph.routecache import LiveRoutes
 from repro.asgraph.topology import ASGraph
 from repro.serve import protocol
 from repro.serve.api import BatchRequest, decode, encode
 from repro.serve.facade import QueryFacade, ResultCache
-from repro.serve.pool import SessionPool
 
 __all__ = ["ServeConfig", "ServeStats", "RoutingDaemon"]
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Daemon knobs (address, framing cap, cache and pool sizes)."""
+    """Daemon knobs (address, framing cap, result and route cache sizes)."""
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port; read it back from ``daemon.address``
     port: int = 0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     cache_entries: int = 65536
-    #: warm incremental sessions kept by the SessionPool (LRU)
-    pool_entries: int = 256
+    #: full route trees kept by the live route cache (LRU)
+    pool_entries: int = 1024
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,9 @@ class RoutingDaemon:
         self.engine = engine if engine is not None else shared_engine()
         self.config = config
         self.cache = ResultCache(max_entries=config.cache_entries)
-        self.pool = SessionPool(
-            graph, engine=self.engine, cap=config.pool_entries
-        )
+        self.live = LiveRoutes(graph, cap=config.pool_entries)
         self.facade = QueryFacade(
-            graph, engine=self.engine, cache=self.cache, pool=self.pool
+            graph, engine=self.engine, cache=self.cache, live=self.live
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
@@ -142,7 +140,6 @@ class RoutingDaemon:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-            self.pool.close()
         if self._stopping is not None:
             self._stopping.set()
 
@@ -164,7 +161,7 @@ class RoutingDaemon:
         return self.stats()
 
     def stats(self) -> ServeStats:
-        pool = self.pool.stats()
+        live = self.live.stats()
         return ServeStats(
             connections=self._connections,
             requests=self._requests,
@@ -174,12 +171,12 @@ class RoutingDaemon:
             cache_entries=len(self.cache),
             cache_hits=self.cache.hits,
             cache_misses=self.cache.misses,
-            epoch=pool.epoch,
-            pool_sessions=pool.sessions,
-            pool_hits=pool.hits,
-            pool_misses=pool.misses,
-            pool_evictions=pool.evictions,
-            pool_repairs=pool.repairs,
+            epoch=live.epoch,
+            pool_sessions=live.trees,
+            pool_hits=live.hits,
+            pool_misses=live.misses,
+            pool_evictions=live.evictions,
+            pool_repairs=live.repairs,
         )
 
     # -- connection handling -------------------------------------------------
@@ -341,7 +338,7 @@ class RoutingDaemon:
                 "unchanged": report.unchanged,
             }
 
-        # Runs on the same executor as batches; the pool's writer gate
+        # Runs on the same executor as batches; the live writer gate
         # drains in-flight batches before the epoch bump, so no batch
         # ever straddles two epochs.
         return await asyncio.get_running_loop().run_in_executor(None, work)
@@ -378,7 +375,7 @@ class RoutingDaemon:
                 "evictions": stats.pool_evictions,
                 "repairs": stats.pool_repairs,
                 "excluded": sorted(
-                    sorted(link) for link in self.pool.excluded_links
+                    sorted(link) for link in self.live.excluded_links
                 ),
             },
             "engine": {
@@ -389,7 +386,9 @@ class RoutingDaemon:
                 "entries": engine.entries,
                 "compute_seconds": engine.compute_seconds,
                 "batches": engine.batches,
-                "sessions": engine.sessions,
+                # The engine no longer hands out routing sessions; the
+                # key stays for readers of the wire format.
+                "sessions": 0,
             },
         }
 

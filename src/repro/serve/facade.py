@@ -12,22 +12,22 @@ Three execution modes share that path, picked per facade:
   ``paths_many``, same-prefix hijacks share one multi-origin propagation
   via ``outcomes_many``, and exposure queries warm all four endpoint
   origins in one batched pass before reading segment views;
-- **pooled** (``pool=`` a :class:`~repro.serve.pool.SessionPool`): the
-  facade consults the pool's warm incremental sessions first — a borrow
-  costs a ``set_excluded`` diff, not a propagation — and falls back to
-  the engine (with the pool's live exclusion set) for attack kinds a
-  plain session cannot express; batches run under the pool's reader gate
-  so an ``apply-events`` epoch bump never tears a batch;
+- **live** (``live=`` a :class:`~repro.asgraph.routecache.LiveRoutes`):
+  path, exposure and same-prefix hijack queries read full route trees
+  from the live route cache, which ``apply-events`` keeps in sync with
+  the current exclusion set; other attack kinds go through the engine
+  with that exclusion set.  Batches run under the live reader gate, so
+  an epoch bump never tears a batch;
 - **excluded** (``excluded_links=`` a static set): the cold reference for
   a churned topology — every answer recomputed through the engine under
-  the full exclusion set.  Pooled answers at any epoch are bit-identical
+  the full exclusion set.  Live answers at any epoch are bit-identical
   to an excluded-mode facade built with that epoch's exclusion set.
 
 :class:`ResultCache` is the serving tier's memo: completed wire results
 keyed by the query's canonical wire form, LRU-bounded, stamped with the
-pool keys each answer depends on, and versioned by the topology epoch —
-churn invalidates exactly the entries whose dependencies could not be
-proven unchanged, instead of flushing the cache.  Snapshots carry the
+announcement sets each answer depends on, and versioned by the topology
+epoch — churn invalidates exactly the entries whose dependencies could
+not be proven unchanged, instead of flushing the cache.  Snapshots carry the
 epoch alongside the graph fingerprint and refuse to restore into a
 daemon whose epoch differs.
 """
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import ExitStack
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.asgraph.engine import RoutingEngine, shared_engine
+from repro.asgraph.routecache import ChurnReport, LiveRoutes
 from repro.asgraph.topology import ASGraph
 from repro.persist import CheckpointWriter, read_checkpoint
 from repro.serve.api import (
@@ -59,7 +59,6 @@ from repro.serve.api import (
     encode,
     query_key,
 )
-from repro.serve.pool import ChurnReport, SessionPool
 
 __all__ = ["QueryFacade", "ResultCache"]
 
@@ -67,7 +66,7 @@ __all__ = ["QueryFacade", "ResultCache"]
 _SNAPSHOT_EXPERIMENT = "serve-cache"
 
 _Link = FrozenSet[int]
-#: a cache entry's dependency: one pool key (announcement set)
+#: a cache entry's dependency: one announcement set (a live route key)
 _Dep = Tuple[int, ...]
 
 
@@ -75,9 +74,9 @@ class ResultCache:
     """Thread-safe LRU of wire-form query results, versioned by epoch.
 
     Entries map :func:`repro.serve.api.query_key` strings to wire result
-    documents plus the pool keys (announcement sets) the answer depends
-    on.  :meth:`advance_epoch` drops exactly the entries whose
-    dependencies were not proven unchanged by the churn bump.  Snapshots
+    documents plus the announcement sets the answer depends on.
+    :meth:`advance_epoch` drops exactly the entries whose dependencies
+    were not proven unchanged by the churn bump.  Snapshots
     reuse the :mod:`repro.persist` checkpoint format (versioned header +
     one record per entry), tagged with the graph fingerprint *and* the
     topology epoch so a snapshot can never be restored against a
@@ -91,7 +90,7 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._deps: Dict[str, Tuple[_Dep, ...]] = {}
-        #: reverse index: pool key -> cache keys depending on it
+        #: reverse index: announcement set -> cache keys depending on it
         self._by_dep: Dict[_Dep, Set[str]] = {}
         self._epoch = 0
         self.hits = 0
@@ -149,13 +148,13 @@ class ResultCache:
     ) -> int:
         """Move the cache to ``epoch``; returns entries invalidated.
 
-        ``proven`` are the pool keys whose routes the churn bump provably
-        left unchanged (``SessionPool.apply_events``'s ``proven_keys``).
-        An entry survives only when *every* one of its dependencies is
-        proven — anything else could have a different answer at the new
-        epoch and is dropped.  ``keep_all=True`` is the no-op-bump fast
-        path (the event batch did not change the exclusion set at all),
-        where every entry stays valid.
+        ``proven`` are the announcement sets whose routes the churn bump
+        provably left unchanged (``LiveRoutes.apply_events``'s
+        ``proven_keys``).  An entry survives only when *every* one of its
+        dependencies is proven — anything else could have a different
+        answer at the new epoch and is dropped.  ``keep_all=True`` is the
+        no-op-bump fast path (the event batch did not change the exclusion
+        set at all), where every entry stays valid.
         """
         with self._lock:
             if epoch < self._epoch:
@@ -269,11 +268,11 @@ class QueryFacade:
     ``cache`` (optional) is a :class:`ResultCache` consulted before — and
     populated after — execution; the daemon wires one in, in-process
     callers usually don't (the engine's outcome LRU already memoises the
-    expensive part).  ``pool`` (optional) is a
-    :class:`~repro.serve.pool.SessionPool` of warm incremental sessions
-    consulted before the engine; ``excluded_links`` (optional, exclusive
-    with ``pool``) pins a static exclusion set for cold recomputes over a
-    churned topology.
+    expensive part).  ``live`` (optional) is the
+    :class:`~repro.asgraph.routecache.LiveRoutes` that answers path,
+    exposure and same-prefix hijack queries under the live exclusion set;
+    ``excluded_links`` (optional, exclusive with ``live``) pins a static
+    exclusion set for cold recomputes over a churned topology.
     """
 
     def __init__(
@@ -282,17 +281,17 @@ class QueryFacade:
         *,
         engine: Optional[RoutingEngine] = None,
         cache: Optional[ResultCache] = None,
-        pool: Optional[SessionPool] = None,
+        live: Optional[LiveRoutes] = None,
         excluded_links: Optional[Iterable[Iterable[int]]] = None,
     ) -> None:
         self.graph = graph
         self.engine = engine if engine is not None else shared_engine()
         self.cache = cache
-        self.pool = pool
-        if pool is not None and excluded_links:
+        self.live = live
+        if live is not None and excluded_links:
             raise ValueError(
-                "pass excluded_links or pool, not both: a pool owns its "
-                "exclusion state (feed it through pool.apply_events)"
+                "pass excluded_links or live, not both: live routes own "
+                "their exclusion state (feed it through apply_events)"
             )
         self.excluded_links: FrozenSet[_Link] = (
             frozenset(frozenset(link) for link in excluded_links)
@@ -303,19 +302,19 @@ class QueryFacade:
     # -- churn ---------------------------------------------------------------
 
     def apply_events(self, events: Iterable[object]) -> ChurnReport:
-        """Feed link up/down deltas into the pool and version the cache.
+        """Feed link up/down deltas into the live routes and version the cache.
 
-        The pool bumps its epoch and repairs its warm sessions; the cache
-        (when present) advances to the same epoch, dropping exactly the
-        entries whose dependencies were not proven unchanged.  Returns
-        the pool's :class:`~repro.serve.pool.ChurnReport` with
+        The live routes bump their epoch and re-sync their resolved trees;
+        the cache (when present) advances to the same epoch, dropping
+        exactly the entries whose dependencies were not proven unchanged.
+        Returns the :class:`~repro.asgraph.routecache.ChurnReport` with
         ``invalidated`` filled in.
         """
         import dataclasses
 
-        if self.pool is None:
-            raise RuntimeError("facade has no session pool to apply events to")
-        report = self.pool.apply_events(events)
+        if self.live is None:
+            raise RuntimeError("facade has no live routes to apply events to")
+        report = self.live.apply_events(events)
         invalidated = 0
         if self.cache is not None:
             invalidated = self.cache.advance_epoch(
@@ -339,13 +338,13 @@ class QueryFacade:
 
         A query that fails (unknown AS, etc.) yields a
         :class:`~repro.serve.api.QueryError` in its slot; the rest of the
-        batch is unaffected.  With a pool attached the whole batch runs
-        under the pool's reader gate, so every answer (and every cache
+        batch is unaffected.  With live routes attached the whole batch
+        runs under their reader gate, so every answer (and every cache
         write) belongs to one epoch — a concurrent ``apply-events``
         waits, it never tears the batch.
         """
-        if self.pool is not None:
-            with self.pool.reader():
+        if self.live is not None:
+            with self.live.reader():
                 return self._execute_batch(request)
         return self._execute_batch(request)
 
@@ -403,16 +402,16 @@ class QueryFacade:
         ]
         if not valid:
             return
-        if self.pool is not None:
+        if self.live is not None:
             by_dst: Dict[int, List[Tuple[int, PathQuery]]] = {}
             for i, q in valid:
                 by_dst.setdefault(q.dst, []).append((i, q))
             for dst, group in by_dst.items():
-                with self.pool.borrow(dst) as session:
-                    for i, q in group:
-                        results[i] = PathResult(
-                            src=q.src, dst=q.dst, path=session.path(q.src)
-                        )
+                tree = self.live.tree(dst)
+                for i, q in group:
+                    results[i] = PathResult(
+                        src=q.src, dst=q.dst, path=tree.path(q.src)
+                    )
             return
         if self.excluded_links:
             # paths_many keys cannot carry exclusions; route the churned
@@ -487,14 +486,10 @@ class QueryFacade:
         if not same_prefix:
             return
         total = len(self.graph)
-        if self.pool is not None:
-            # Warm pair sessions: a repeat of the same victim/attacker
-            # pair across epochs costs a set_excluded diff, not a fresh
-            # two-origin propagation.
+        if self.live is not None:
             for i, query in same_prefix:
-                with self.pool.borrow((query.victim, query.attacker)) as session:
-                    outcome = session.outcome()
-                self._finish_same_prefix(i, query, outcome, total, results)
+                tree = self.live.tree((query.victim, query.attacker))
+                self._finish_same_prefix(i, query, tree, total, results)
             return
         # All same-prefix rows share one multi-origin propagation — the
         # same key shape ``simulate_hijack`` uses, so the engine LRU is
@@ -552,14 +547,11 @@ class QueryFacade:
                 origins[asn] = None
         if not valid:
             return
-        if self.pool is not None:
-            with ExitStack() as stack:
-                sessions = {
-                    o: stack.enter_context(self.pool.borrow(o)) for o in origins
-                }
-                self._resolve_exposures(
-                    valid, results, lambda src, dst: sessions[dst].path(src)
-                )
+        if self.live is not None:
+            trees = {o: self.live.tree(o) for o in origins}
+            self._resolve_exposures(
+                valid, results, lambda src, dst: trees[dst].path(src)
+            )
             return
         if self.excluded_links:
             outcomes = self.engine.outcomes_many(
@@ -584,7 +576,7 @@ class QueryFacade:
         results: List[Optional[object]],
         path_fn,
     ) -> None:
-        """Segment-view math over any path source (model, pool, outcomes)."""
+        """Segment-view math over any path source (model, trees, outcomes)."""
         from repro.core.surveillance import ObservationMode, SegmentView
 
         def segment(a: int, b: int) -> SegmentView:
@@ -614,13 +606,13 @@ class QueryFacade:
     # -- helpers -------------------------------------------------------------
 
     def _current_excluded(self) -> FrozenSet[_Link]:
-        if self.pool is not None:
-            return self.pool.excluded_links
+        if self.live is not None:
+            return self.live.excluded_links
         return self.excluded_links
 
     @staticmethod
     def _query_deps(query: object) -> Tuple[Tuple[int, ...], ...]:
-        """Pool keys whose routing state this query's answer depends on."""
+        """Announcement sets whose routes this query's answer depends on."""
         if isinstance(query, PathQuery):
             return ((query.dst,),)
         if isinstance(query, ExposureQuery):

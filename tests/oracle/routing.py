@@ -13,9 +13,7 @@ Within a stage, ties are broken by AS-path length and then by lowest
 next-hop AS number (a deterministic stand-in for BGP's router-ID
 tiebreak).  Every candidate carries its whole AS path, so loop prevention
 is a literal ``asn in path`` test rather than the fast kernel's forged-tail
-probe.  :class:`RecomputeSession` answers the routing-session API with one
-run of :func:`compute_routes` per state change, the reference the
-incremental session is diffed against.
+probe.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.asgraph.relationships import RouteKind
 from repro.asgraph.routing import Route, RoutingOutcome, _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
-__all__ = ["compute_routes", "RecomputeSession"]
+__all__ = ["compute_routes"]
 
 _Link = FrozenSet[int]
 
@@ -251,83 +249,3 @@ def _propagate(
         for asn in newly_routed:
             for target in next_ases(asn):
                 offer(target, routes[asn])
-
-
-class RecomputeSession:
-    """The link-event and path API of
-    :class:`~repro.asgraph.incremental.DynamicRoutingSession`, answered by
-    one full :func:`compute_routes` run per state change.
-
-    Every state change invalidates the cached outcome; the next query pays
-    one full run.
-    """
-
-    def __init__(
-        self,
-        graph: ASGraph,
-        origins: _OriginsArg,
-        *,
-        excluded_links: Optional[Iterable[_Link]] = None,
-        origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
-    ) -> None:
-        self.graph = graph
-        seeds = _normalise_origins(origins)
-        for asn in seeds:
-            if asn not in graph:
-                raise ValueError(f"origin AS{asn} not in topology")
-        scopes = dict(origin_export_scopes) if origin_export_scopes else {}
-        for asn in scopes:
-            if asn not in seeds:
-                raise ValueError(f"export scope given for non-origin AS{asn}")
-        self._seeds = seeds
-        self._scopes = scopes
-        self._excluded: Set[_Link] = {
-            frozenset(link) for link in (excluded_links or ())
-        }
-        self._outcome: Optional[RoutingOutcome] = None
-        self._released = False
-
-    def release(self) -> None:
-        """Drop the cached outcome; idempotent."""
-        self._released = True
-        self._outcome = None
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def _current(self) -> RoutingOutcome:
-        self._check_live()
-        if self._outcome is None:
-            self._outcome = compute_routes(
-                self.graph,
-                self._seeds,
-                excluded_links=frozenset(self._excluded),
-                origin_export_scopes=self._scopes or None,
-            )
-        return self._outcome
-
-    def _check_live(self) -> None:
-        if self._released:
-            raise RuntimeError("routing session has been released")
-
-    def exclude_link(self, link: Iterable[int]) -> bool:
-        self._check_live()
-        link = frozenset(link)
-        if link in self._excluded:
-            return False
-        self._excluded.add(link)
-        self._outcome = None
-        return True
-
-    def restore_link(self, link: Iterable[int]) -> bool:
-        self._check_live()
-        link = frozenset(link)
-        if link not in self._excluded:
-            return False
-        self._excluded.discard(link)
-        self._outcome = None
-        return True
-
-    def path(self, asn: int) -> Optional[Tuple[int, ...]]:
-        return self._current().path(asn)

@@ -1,6 +1,9 @@
 """Smoke tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,26 @@ class TestJsonOutput:
             second["result"]["exposure"]["curve"]
             == first["result"]["exposure"]["curve"]
         )
+
+    def test_mismatched_checkpoint_is_a_one_line_error(self, tmp_path, capsys):
+        """Resuming another seed's checkpoint fails cleanly, as a user sees it."""
+        ckpt = str(tmp_path / "trace.ckpt")
+        stream = ["trace", "--stream", "--days", "2", "--checkpoint", ckpt]
+        assert main(stream) == 0
+        capsys.readouterr()
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--seed", "1", *stream, "--resume"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("repro: error: checkpoint ")
+        assert "seed mismatch" in last
 
     def test_transfer_json(self, capsys):
         assert main(["transfer", "--size", "500000", "--json"]) == 0

@@ -372,27 +372,7 @@ class TestSharedEngine:
 
 
 class TestDeprecatedBatchSignatures:
-    """The legacy loose-argument batch forms still work, loudly."""
-
-    def test_legacy_paths_many_warns_and_returns_dict(self, tiny_graph):
-        engine = RoutingEngine()
-        pairs = [(40, 10), (50, 11)]
-        with pytest.warns(DeprecationWarning, match="PathBatch"):
-            legacy = engine.paths_many(tiny_graph, pairs)
-        assert isinstance(legacy, dict)
-        typed = RoutingEngine().paths_many(tiny_graph, PathBatch.of(pairs))
-        assert legacy == typed.mapping()
-
-    def test_legacy_outcomes_many_warns_and_returns_list(self, tiny_graph):
-        engine = RoutingEngine()
-        with pytest.warns(DeprecationWarning, match="OutcomeBatch"):
-            legacy = engine.outcomes_many(tiny_graph, [[10], [11]])
-        assert isinstance(legacy, list)
-        typed = RoutingEngine().outcomes_many(
-            tiny_graph, OutcomeBatch.of([[10], [11]])
-        )
-        for a, b in zip(legacy, typed):
-            assert dict(a.items()) == dict(b.items())
+    """The raw-tuple batch forms are gone; the typed forms never warn."""
 
     def test_typed_forms_do_not_warn(self, tiny_graph, recwarn):
         engine = RoutingEngine()
@@ -401,36 +381,3 @@ class TestDeprecatedBatchSignatures:
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
-
-
-class TestSessionContextManager:
-    """`with engine.session(...) as s:` guarantees release()."""
-
-    # ``incremental=False`` is a forged-tail announcement, whose session
-    # answers every event with a full rebuild instead of a subtree repair.
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_releases_on_clean_exit(self, tiny_graph, incremental):
-        engine = RoutingEngine()
-        origins = [10] if incremental else {10: (10, 11)}
-        with engine.session(tiny_graph, origins) as s:
-            assert s._incremental_ok is incremental
-            assert s.path(59) == engine.outcome(tiny_graph, origins).path(59)
-            assert not s.released
-        assert s.released
-
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_releases_when_body_raises(self, tiny_graph, incremental):
-        engine = RoutingEngine()
-        origins = [10] if incremental else {10: (10, 11)}
-        with pytest.raises(RuntimeError, match="boom"):
-            with engine.session(tiny_graph, origins) as s:
-                raise RuntimeError("boom")
-        assert s.released
-
-    def test_released_session_cannot_reenter(self, tiny_graph):
-        engine = RoutingEngine()
-        session = engine.session(tiny_graph, [10])
-        session.release()
-        with pytest.raises(RuntimeError, match="released"):
-            with session:
-                pass  # pragma: no cover

@@ -1,15 +1,16 @@
-"""The warm session pool and its churn feed.
+"""The live route cache and its churn feed.
 
-Pins the serving tier's three load-bearing claims:
+Pins the serving tier's load-bearing claims:
 
-- **single release** — LRU eviction (and close) releases each evicted
-  session exactly once, never a pooled-and-still-borrowed one;
+- **bounded state** — the live routes keep at most ``cap`` trees, count
+  every eviction once, and forget an evicted key instead of re-syncing it;
 - **no torn epochs** — a query batch racing ``apply_events`` sees answers
   entirely from epoch N or entirely from epoch N+1, never a mix;
 - **bit-identical serving** — at every epoch of an arbitrary event
-  sequence, a pooled facade (and the live daemon in front of it) answers
+  sequence, a live facade (and the live daemon in front of it) answers
   exactly like a cold facade rebuilt on a fresh engine with that epoch's
-  exclusion set.
+  exclusion set, and like the reference kernel in
+  ``tests/oracle/routing.py``.
 """
 
 import threading
@@ -20,16 +21,22 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.asgraph import TopologyConfig, generate_topology
 from repro.asgraph.engine import RoutingEngine
+from repro.asgraph.routecache import LiveRoutes, normalize_events
+from repro.bgpsim.attacks import AttackKind
+from repro.core.surveillance import ObservationMode, SegmentView
 from repro.serve.api import (
     BatchRequest,
     ExposureQuery,
+    ExposureResult,
     HijackQuery,
+    HijackQueryResult,
     PathQuery,
+    PathResult,
     encode,
 )
 from repro.serve.facade import QueryFacade, ResultCache
-from repro.serve.pool import SessionPool, normalize_events
 
+from tests.oracle.routing import compute_routes
 from tests.test_serve_daemon import DaemonHarness
 
 
@@ -56,35 +63,62 @@ def _mixed_queries(graph):
     )
 
 
-class _CountingSession:
-    """Wrap a session, counting release() calls."""
-
-    def __init__(self, session):
-        self._session = session
-        self.releases = 0
-
-    def release(self):
-        self.releases += 1
-        self._session.release()
-
-    def __getattr__(self, name):
-        return getattr(self._session, name)
+def _live_facade(graph, cache=None):
+    live = LiveRoutes(graph)
+    facade = QueryFacade(graph, engine=RoutingEngine(), cache=cache, live=live)
+    return live, facade
 
 
-class _CountingEngine:
-    """A RoutingEngine whose sessions count their releases."""
+def _oracle_mismatches(graph, queries, results, excluded):
+    """Queries whose live answer differs from the reference kernel's.
 
-    def __init__(self):
-        self._engine = RoutingEngine()
-        self.sessions = []
+    Covers path, exposure and same-prefix hijack queries — the kinds the
+    live route cache answers; the other attack kinds run through the
+    engine and are checked against the cold recompute only.
+    """
+    routes = {}
 
-    def session(self, *args, **kwargs):
-        wrapped = _CountingSession(self._engine.session(*args, **kwargs))
-        self.sessions.append(wrapped)
-        return wrapped
+    def outcome(*origins):
+        key = tuple(sorted(origins))
+        if key not in routes:
+            routes[key] = compute_routes(graph, list(key), excluded_links=excluded)
+        return routes[key]
 
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
+    def segment(a, b):
+        forward = outcome(b).path(a) or (a, b)
+        reverse = outcome(a).path(b) or (b, a)
+        return SegmentView(forward=frozenset(forward), reverse=frozenset(reverse))
+
+    bad = []
+    for query, result in zip(queries, results):
+        if isinstance(query, PathQuery):
+            assert isinstance(result, PathResult)
+            if result.path != outcome(query.dst).path(query.src):
+                bad.append(query)
+        elif isinstance(query, ExposureQuery):
+            assert isinstance(result, ExposureResult)
+            mode = ObservationMode(query.mode)
+            entry = segment(query.client, query.guard).observers(mode)
+            exit_side = segment(query.exit, query.dest).observers(mode)
+            adversaries = set(query.adversaries)
+            if set(result.observers) != entry & exit_side or result.compromised != (
+                bool(adversaries & entry) and bool(adversaries & exit_side)
+            ):
+                bad.append(query)
+        elif query.kind == AttackKind.SAME_PREFIX.value:
+            assert isinstance(result, HijackQueryResult)
+            pair = outcome(query.victim, query.attacker)
+            captured = pair.capture_set(query.attacker)
+            retained = pair.capture_set(query.victim)
+            if (
+                set(result.capture_set) != captured
+                or result.capture_fraction != len(captured) / len(graph)
+                or set(result.captured_clients) != captured & set(query.clients)
+                or set(result.victim_retained_clients)
+                != retained & set(query.clients)
+            ):
+                bad.append(query)
+    return bad
 
 
 class TestNormalizeEvents:
@@ -116,106 +150,61 @@ class TestNormalizeEvents:
             normalize_events([("down", (a, non_neighbour))], tiny_graph)
 
 
-class TestSessionPool:
-    def test_borrow_hit_miss_accounting(self, tiny_graph):
-        pool = SessionPool(tiny_graph, engine=RoutingEngine(), cap=4)
+class TestLiveRoutes:
+    def test_tree_hit_miss_accounting(self, tiny_graph):
+        live = LiveRoutes(tiny_graph, cap=4)
         origin = sorted(tiny_graph.ases)[0]
-        with pool.borrow(origin) as s:
-            assert s.path(origin) == (origin,)
-        with pool.borrow(origin) as s2:
-            assert s2 is s
-        stats = pool.stats()
-        assert (stats.hits, stats.misses, stats.created) == (1, 1, 1)
-        assert pool.keys() == [(origin,)]
+        tree = live.tree(origin)
+        assert tree.path(origin) == (origin,)
+        assert live.tree([origin]) is tree
+        stats = live.stats()
+        assert (stats.trees, stats.hits, stats.misses) == (1, 1, 1)
 
     def test_key_for_canonical(self):
-        assert SessionPool.key_for(7) == (7,)
-        assert SessionPool.key_for((3, 1, 3)) == (1, 3)
-
-    def test_lru_eviction_releases_exactly_once(self, tiny_graph):
-        engine = _CountingEngine()
-        pool = SessionPool(tiny_graph, engine=engine, cap=2)
-        origins = sorted(tiny_graph.ases)[:5]
-        for origin in origins:
-            with pool.borrow(origin):
-                pass
-        assert len(pool) == 2
-        assert pool.stats().evictions == 3
-        released = [s for s in engine.sessions if s.released]
-        assert len(released) == 3
-        assert all(s.releases == 1 for s in released)
-        # the two residents were never released
-        assert all(s.releases == 0 for s in engine.sessions if not s.released)
-        pool.close()
-        assert all(s.releases == 1 for s in engine.sessions)
-        with pytest.raises(RuntimeError, match="closed"):
-            with pool.borrow(origins[0]):
-                pass
-
-    def test_concurrent_same_key_borrows_get_distinct_sessions(self, tiny_graph):
-        engine = _CountingEngine()
-        pool = SessionPool(tiny_graph, engine=engine, cap=4)
-        origin = sorted(tiny_graph.ases)[0]
-        with pool.borrow(origin) as outer:
-            with pool.borrow(origin) as inner:
-                assert inner is not outer
-        # one of the two was retired on return, exactly once
-        assert sum(s.releases for s in engine.sessions) == 1
-        assert len(pool) == 1
-
-    def test_error_path_returns_the_session(self, tiny_graph):
-        pool = SessionPool(tiny_graph, engine=RoutingEngine(), cap=4)
-        origin = sorted(tiny_graph.ases)[0]
-        with pytest.raises(RuntimeError, match="boom"):
-            with pool.borrow(origin):
-                raise RuntimeError("boom")
-        assert len(pool) == 1  # returned despite the raise
-        with pool.borrow(origin) as session:
-            assert not session.released
+        assert LiveRoutes.key_for(7) == (7,)
+        assert LiveRoutes.key_for((3, 1, 3)) == (1, 3)
 
     def test_apply_events_bumps_epoch_even_when_empty(self, tiny_graph):
-        pool = SessionPool(tiny_graph, engine=RoutingEngine())
-        report = pool.apply_events([])
+        live = LiveRoutes(tiny_graph)
+        report = live.apply_events([])
         assert (report.epoch, report.events, report.unchanged) == (1, 0, True)
         a, b = _links(tiny_graph)[0]
-        report = pool.apply_events([("down", (a, b))])
+        report = live.apply_events([("down", (a, b))])
         assert report.epoch == 2
         assert not report.unchanged
-        assert frozenset((a, b)) in pool.excluded_links
-        report = pool.apply_events([("up", (a, b))])
+        assert frozenset((a, b)) in live.excluded_links
+        report = live.apply_events([("up", (a, b))])
         assert report.epoch == 3
-        assert pool.excluded_links == frozenset()
+        assert live.excluded_links == frozenset()
 
     def test_apply_events_proves_untouched_origins(self, tiny_graph):
-        """Sessions whose routes survive churn come back as proven keys."""
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
+        """Resolved keys whose routes survive churn come back as proven."""
+        live = LiveRoutes(tiny_graph)
         origins = sorted(tiny_graph.ases)[:6]
-        for origin in origins:
-            with pool.borrow(origin):
-                pass
+        before = {o: live.tree(o) for o in origins}
         a, b = _links(tiny_graph)[0]
-        report = pool.apply_events([("down", (a, b))])
+        report = live.apply_events([("down", (a, b))])
         assert set(report.repaired_keys) | set(report.proven_keys) == {
             (o,) for o in origins
         }
-        # proof check: a "proven" origin's paths really are unchanged
-        cold = engine.outcome(
-            tiny_graph,
-            [origins[0]],
-            excluded_links=[(a, b)] if (origins[0],) in report.proven_keys else None,
-        )
-        if (origins[0],) in report.proven_keys:
-            baseline = RoutingEngine().outcome(tiny_graph, [origins[0]])
+        assert not set(report.repaired_keys) & set(report.proven_keys)
+        # a proven key keeps its very tree; a repaired one got the routes
+        # a fresh kernel run computes under the new exclusion set
+        for origin in origins:
+            tree = live.tree(origin)
+            if (origin,) in report.proven_keys:
+                assert tree is before[origin]
+            cold = RoutingEngine().outcome(
+                tiny_graph, [origin], excluded_links=[frozenset((a, b))]
+            )
             for asn in sorted(tiny_graph.ases):
-                assert cold.path(asn) == baseline.path(asn)
+                assert tree.path(asn) == cold.path(asn)
 
 
-class TestSessionLRURelease:
-    """Eviction from the pool must actually release the evicted sessions
-    (undo log, children index, label arrays), tick ``serve.pool.*`` exactly
-    once per evicted origin, and re-admit an evicted key as a fresh
-    session."""
+class TestLiveRoutesLRU:
+    """The live routes hold at most ``cap`` trees, tick ``serve.pool.*``
+    once per evicted tree, and forget evicted keys instead of re-syncing
+    them."""
 
     CAP = 3
 
@@ -223,48 +212,38 @@ class TestSessionLRURelease:
         graph = generate_topology(
             TopologyConfig(num_ases=80, num_tier1=3, num_tier2=15, seed=3)
         )
-        pool = SessionPool(graph, engine=RoutingEngine(), cap=self.CAP)
+        live = LiveRoutes(graph, cap=self.CAP)
         origins = sorted(graph.ases)[:num_origins]
         recorder = obs.Recorder()
         previous = obs.set_recorder(recorder)
         try:
-            created = {}
-            for origin in origins:
-                with pool.borrow(origin) as session:
-                    created[origin] = session
+            trees = {origin: live.tree(origin) for origin in origins}
         finally:
             obs.set_recorder(previous)
-        return pool, origins, created, recorder.snapshot().counters
+        return live, origins, trees, recorder.snapshot().counters
 
     def test_counter_ticks_once_per_evicted_origin(self):
-        pool, origins, _created, counters = self.churn(10)
-        assert counters["serve.pool.created"] == len(origins)
+        live, origins, _trees, counters = self.churn(10)
+        assert counters["serve.pool.misses"] == len(origins)
         assert counters["serve.pool.evictions"] == len(origins) - self.CAP
-        assert len(pool) == self.CAP
+        assert live.stats().trees == self.CAP
 
-    def test_evicted_sessions_are_released(self):
-        pool, origins, created, _counters = self.churn(10)
-        live = {key[0] for key in pool.keys()}
-        assert live == set(origins[-self.CAP :])
-        for origin, session in created.items():
-            if origin in live:
-                assert not session.released
-                assert session.path(origin) == (origin,)
-            else:
-                assert session.released
-                with pytest.raises(RuntimeError, match="released"):
-                    session.path(origin)
-                with pytest.raises(RuntimeError, match="released"):
-                    session.exclude_link((origin, origin + 1))
+    def test_evicted_keys_are_forgotten_by_the_next_epoch(self):
+        live, origins, _trees, _counters = self.churn(10)
+        report = live.apply_events([])
+        # only the resident trees are re-synced and proven; an evicted key
+        # is neither, so results that depend on it are invalidated
+        assert report.proven_keys == tuple((o,) for o in origins[-self.CAP :])
+        assert report.repaired_keys == ()
 
-    def test_readmission_builds_a_fresh_session(self):
-        pool, origins, created, _counters = self.churn(10)
-        evicted_origin = origins[0]
-        assert (evicted_origin,) not in pool.keys()
-        with pool.borrow(evicted_origin) as fresh:
-            assert fresh is not created[evicted_origin]
-            assert not fresh.released
-            assert fresh.path(evicted_origin) == (evicted_origin,)
+    def test_readmission_recomputes_an_evicted_tree(self):
+        live, origins, trees, _counters = self.churn(10)
+        evicted = origins[0]
+        misses = live.stats().misses
+        fresh = live.tree(evicted)
+        assert live.stats().misses == misses + 1
+        assert fresh is not trees[evicted]
+        assert fresh.path(evicted) == (evicted,)
 
 class TestCacheEpochVersioning:
     def test_only_unproven_dependencies_invalidated(self):
@@ -296,11 +275,9 @@ class TestCacheEpochVersioning:
             cache.advance_epoch(1)
 
     def test_snapshot_refuses_restore_across_epochs(self, tiny_graph, tmp_path):
-        engine = RoutingEngine()
-        fp = engine.fingerprint(tiny_graph)
-        pool = SessionPool(tiny_graph, engine=engine)
         cache = ResultCache()
-        facade = QueryFacade(tiny_graph, engine=engine, cache=cache, pool=pool)
+        _live, facade = _live_facade(tiny_graph, cache)
+        fp = facade.engine.fingerprint(tiny_graph)
         facade.execute_batch(BatchRequest(queries=_mixed_queries(tiny_graph)))
         snap = str(tmp_path / "epoch0.ckpt")
         cache.snapshot(snap, fp)
@@ -316,11 +293,9 @@ class TestCacheEpochVersioning:
             ResultCache().restore(ahead, fp)
 
     def test_snapshot_round_trips_deps(self, tiny_graph, tmp_path):
-        engine = RoutingEngine()
-        fp = engine.fingerprint(tiny_graph)
-        pool = SessionPool(tiny_graph, engine=engine)
         cache = ResultCache()
-        facade = QueryFacade(tiny_graph, engine=engine, cache=cache, pool=pool)
+        _live, facade = _live_facade(tiny_graph, cache)
+        fp = facade.engine.fingerprint(tiny_graph)
         queries = _mixed_queries(tiny_graph)
         facade.execute_batch(BatchRequest(queries=queries))
         snap = str(tmp_path / "cache.ckpt")
@@ -345,22 +320,20 @@ def _cold_answers(graph, queries, excluded):
 class TestBitIdenticalServing:
     def test_pooled_matches_cold_on_fresh_graph(self, tiny_graph):
         queries = _mixed_queries(tiny_graph)
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
-        facade = QueryFacade(tiny_graph, engine=engine, pool=pool)
-        warm = _wire(facade.execute_batch(BatchRequest(queries=queries)))
-        assert warm == _cold_answers(tiny_graph, queries, frozenset())
+        _live, facade = _live_facade(tiny_graph)
+        response = facade.execute_batch(BatchRequest(queries=queries))
+        assert _wire(response) == _cold_answers(tiny_graph, queries, frozenset())
+        assert not _oracle_mismatches(
+            tiny_graph, queries, response.results, frozenset()
+        )
 
     @settings(deadline=None, max_examples=12)
     @given(data=st.data())
     def test_event_sequence_property(self, tiny_graph, data):
-        """At every epoch, pooled answers == cold recompute answers."""
+        """At every epoch, live answers == cold recompute == the oracle."""
         links = _links(tiny_graph)
         queries = _mixed_queries(tiny_graph)
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
-        cache = ResultCache()
-        facade = QueryFacade(tiny_graph, engine=engine, cache=cache, pool=pool)
+        live, facade = _live_facade(tiny_graph, ResultCache())
 
         num_epochs = data.draw(st.integers(min_value=1, max_value=4))
         excluded = set()
@@ -380,20 +353,23 @@ class TestBitIdenticalServing:
                     excluded.add(frozenset(link))
                 else:
                     excluded.discard(frozenset(link))
-            assert pool.excluded_links == frozenset(excluded)
-            warm = _wire(facade.execute_batch(BatchRequest(queries=queries)))
-            assert warm == _cold_answers(tiny_graph, queries, excluded), (
-                f"divergence at epoch {report.epoch}, "
+            assert live.excluded_links == frozenset(excluded)
+            response = facade.execute_batch(BatchRequest(queries=queries))
+            where = (
+                f"epoch {report.epoch}, "
                 f"excluded {sorted(map(sorted, excluded))}"
             )
+            assert _wire(response) == _cold_answers(
+                tiny_graph, queries, excluded
+            ), f"divergence from cold recompute at {where}"
+            assert not _oracle_mismatches(
+                tiny_graph, queries, response.results, frozenset(excluded)
+            ), f"divergence from the oracle at {where}"
 
     def test_cache_hit_serves_current_epoch_answers(self, tiny_graph):
         """Invalidation is precise: surviving entries are still correct."""
         queries = _mixed_queries(tiny_graph)
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
-        cache = ResultCache()
-        facade = QueryFacade(tiny_graph, engine=engine, cache=cache, pool=pool)
+        _live, facade = _live_facade(tiny_graph, ResultCache())
         facade.execute_batch(BatchRequest(queries=queries))
         a, b = _links(tiny_graph)[0]
         facade.apply_events([("down", (a, b))])
@@ -405,24 +381,22 @@ class TestBitIdenticalServing:
 
     def test_unaffected_entries_survive_churn(self, tiny_graph):
         """Churn far from a query's origins must not evict its cache entry."""
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
         cache = ResultCache()
-        facade = QueryFacade(tiny_graph, engine=engine, cache=cache, pool=pool)
+        _live, facade = _live_facade(tiny_graph, cache)
         ases = sorted(tiny_graph.ases)
         queries = tuple(PathQuery(src=ases[-1], dst=dst) for dst in ases[:8])
         facade.execute_batch(BatchRequest(queries=queries))
         entries_before = len(cache)
         assert entries_before == len(queries)
 
-        # find a link whose failure provably spares at least one pooled origin
+        # find a link whose failure provably spares at least one origin
         for link in _links(tiny_graph):
             report = facade.apply_events([("down", link)])
             if report.proven_keys and report.repaired_keys:
                 break
             facade.apply_events([("up", link)])
         else:
-            pytest.skip("no link distinguishes the pooled origins")
+            pytest.skip("no link distinguishes the queried origins")
 
         assert len(cache) == len(report.proven_keys)
         assert report.invalidated == entries_before - len(report.proven_keys)
@@ -447,9 +421,7 @@ class TestTornEpochs:
                 break
         assert flip is not None, "no link changes any answer"
 
-        engine = RoutingEngine()
-        pool = SessionPool(tiny_graph, engine=engine)
-        facade = QueryFacade(tiny_graph, engine=engine, pool=pool)
+        _live, facade = _live_facade(tiny_graph)
         stop = threading.Event()
         failures = []
 

@@ -1,24 +1,31 @@
-"""Soundness tests for the trace engine's relevance-filtered route cache.
+"""Tests for the relevance-filtered route cache the trace and serve share.
 
-The engine caches vantage paths keyed only on the *relevant* excluded
-links (a fixpoint), not the full global exclusion state.  These tests pin
-the correctness claim: the filtered result must equal a direct
-Gao-Rexford computation by the reference kernel in
-``tests/oracle/routing.py`` under the full exclusion set, for arbitrary
-exclusion sets.  One more pins that this cache is the trace's only one:
-a run stores nothing in the shared routing engine.
+:class:`~repro.asgraph.routecache.RouteCache` keys routes only on the
+*relevant* excluded links (a fixpoint), not the full global exclusion
+state.  These tests pin the correctness claim on the trace engine's
+vantage paths: the filtered result must equal a direct Gao-Rexford
+computation by the reference kernel in ``tests/oracle/routing.py`` under
+the full exclusion set, for arbitrary exclusion sets.  Others pin that
+this cache is the trace's only one (a run stores nothing in the shared
+routing engine), that it is bounded, and how the live routes of
+``repro serve`` reuse and re-sync it.
 """
 
-import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.asgraph.routecache as routecache
+from repro import obs
 from repro.analysis.prefixes import Prefix
 from repro.asgraph import TopologyConfig, generate_topology
 from repro.asgraph.engine import RoutingEngine, set_shared_engine, shared_engine
+from repro.asgraph.routecache import LiveRoutes
 from repro.bgpsim.trace import TraceConfig, TraceEngine
+from repro.obs import Recorder
 from tests.oracle.routing import compute_routes
 
 
@@ -112,8 +119,8 @@ class TestFilteredCacheSoundness:
 class TestOneRouteCache:
     def test_run_leaves_the_shared_engine_untouched(self):
         """Route-cache misses run the kernel directly: a whole run adds no
-        query, cached outcome or session to the shared engine, so the
-        trace's own LRU is the only place its routes are held."""
+        query or cached outcome to the shared engine, so the trace's own
+        LRU is the only place its routes are held."""
         previous = shared_engine()
         fresh = RoutingEngine()
         set_shared_engine(fresh)
@@ -126,8 +133,173 @@ class TestOneRouteCache:
             set_shared_engine(previous)
         assert sum(len(s) for s in trace.streams.values()) > 0
         assert len(engine._route_cache) > 0
-        assert (after.queries, after.entries, after.sessions) == (
-            before.queries,
-            before.entries,
-            before.sessions,
+        assert (after.queries, after.entries) == (before.queries, before.entries)
+
+
+def _trace_world(seed=0):
+    graph = generate_topology(
+        TopologyConfig(num_ases=80, num_tier1=3, num_tier2=15, seed=seed)
+    )
+    prefixes = {Prefix.parse(f"10.0.{i}.0/24"): 40 + i for i in range(10)}
+    tor = list(prefixes)[:3]
+    return graph, prefixes, tor
+
+
+class TestTraceIntegration:
+    def test_route_cache_is_bounded_with_evictions_counted(self):
+        graph, prefixes, tor = _trace_world()
+        cfg = TraceConfig(
+            duration_days=3.0, seed=9, sessions_per_collector=3,
+            collector_names=("rrc00",), route_cache_cap=4,
         )
+        engine = TraceEngine(graph, prefixes, tor, cfg)
+        recorder = Recorder()
+        previous = obs.set_recorder(recorder)
+        try:
+            engine.run()
+        finally:
+            obs.set_recorder(previous)
+        counters = recorder.snapshot().counters
+        assert len(engine._route_cache) <= 4
+        assert counters.get("trace.route_cache.evictions", 0) > 0
+        assert counters["trace.route_cache.evictions"] == engine._route_cache.evictions
+        assert counters["trace.route_cache.misses"] == engine._route_cache.misses
+        assert recorder.snapshot().gauges["trace.route_cache.size"] <= 4
+
+    def test_link_reverse_index_matches_linear_scan(self):
+        graph, prefixes, tor = _trace_world()
+        cfg = TraceConfig(
+            duration_days=3.0, seed=9, sessions_per_collector=3,
+            collector_names=("rrc00",),
+        )
+        engine = TraceEngine(graph, prefixes, tor, cfg)
+        engine.run()
+        all_links = {l for links in engine._prefix_links.values() for l in links}
+        assert all_links  # the run must have produced routed prefixes
+        for link in sorted(all_links, key=sorted):
+            expected = {
+                p for p, links in engine._prefix_links.items() if link in links
+            }
+            assert engine._prefixes_using_link(link) == expected
+        # and a link nothing routes over resolves to the empty set
+        assert engine._prefixes_using_link(frozenset((999998, 999999))) == set()
+
+    def test_cache_cap_validation(self):
+        with pytest.raises(ValueError):
+            TraceConfig(route_cache_cap=0)
+
+
+class _KernelCalls:
+    """Count (and record the rows of) the live routes' kernel calls."""
+
+    def __init__(self, monkeypatch):
+        self.single = []
+        self.batches = []
+        fast, many = routecache.compute_routes_fast, routecache.compute_routes_many
+
+        def counted_fast(graph, origins, **kwargs):
+            self.single.append(tuple(origins))
+            return fast(graph, origins, **kwargs)
+
+        def counted_many(graph, origins, **kwargs):
+            self.batches.append((list(origins), kwargs.get("excluded_links")))
+            return many(graph, origins, **kwargs)
+
+        monkeypatch.setattr(routecache, "compute_routes_fast", counted_fast)
+        monkeypatch.setattr(routecache, "compute_routes_many", counted_many)
+
+    @property
+    def total(self):
+        return len(self.single) + len(self.batches)
+
+
+def _crossed_link(graph, trees):
+    """The first link that the trees of at least two origins cross."""
+    for a, b in sorted(tuple(sorted(link[:2])) for link in graph.links()):
+        link = frozenset((a, b))
+        if sum(1 for tree in trees.values() if tree.links_crossed({link})) >= 2:
+            return link
+    raise AssertionError("no link is shared by two origins' trees")
+
+
+class TestLiveRouteCache:
+    """The live routes of ``repro serve`` on the shared cache."""
+
+    def test_flap_back_finds_the_pre_outage_tree_without_a_kernel_run(
+        self, tiny_graph, monkeypatch
+    ):
+        live = LiveRoutes(tiny_graph)
+        origins = sorted(tiny_graph.ases)[:6]
+        before = {o: live.tree(o) for o in origins}
+        link = _crossed_link(tiny_graph, before)
+        down = live.apply_events([("down", tuple(link))])
+        assert down.repaired_keys
+        calls = _KernelCalls(monkeypatch)
+        up = live.apply_events([("up", tuple(link))])
+        assert up.repaired_keys == down.repaired_keys
+        for origin in origins:
+            assert live.tree(origin) is before[origin]
+        assert calls.total == 0, "the flap-back ran the kernel"
+
+    def test_resync_makes_one_kernel_call_per_relevant_link_set(
+        self, tiny_graph, monkeypatch
+    ):
+        live = LiveRoutes(tiny_graph)
+        origins = sorted(tiny_graph.ases)[:12]
+        trees = {o: live.tree(o) for o in origins}
+        link = _crossed_link(tiny_graph, trees)
+        crossing = [o for o in origins if trees[o].links_crossed({link})]
+        calls = _KernelCalls(monkeypatch)
+        report = live.apply_events([("down", tuple(link))])
+        # every repaired key now needs the one relevant-link set {link}
+        assert sorted(report.repaired_keys) == [(o,) for o in crossing]
+        assert calls.single == []
+        assert calls.batches == [([(o,) for o in crossing], frozenset({link}))]
+        # the re-sync was eager: the next batch computes nothing
+        misses = live.stats().misses
+        for origin in origins:
+            tree = live.tree(origin)
+            cold = compute_routes(
+                tiny_graph, [origin], excluded_links=frozenset({link})
+            )
+            for asn in sorted(tiny_graph.ases):
+                assert tree.path(asn) == cold.path(asn)
+        assert live.stats().misses == misses
+        assert calls.total == 1
+
+    def test_concurrent_lookups_lose_no_update(self, tiny_graph):
+        """Threads sharing one live route cache: every lookup is counted
+        exactly once, the cap holds, and every answer is its own tree."""
+        live = LiveRoutes(tiny_graph, cap=8)
+        origins = sorted(tiny_graph.ases)[:24]
+        rounds, workers = 40, 8
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(rounds):
+                    origin = rng.choice(origins)
+                    if live.tree(origin).path(origin) != (origin,):
+                        errors.append(origin)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = live.stats()
+        assert stats.hits + stats.misses == rounds * workers
+        assert stats.trees <= 8
