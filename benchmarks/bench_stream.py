@@ -4,9 +4,10 @@
 Gates the stream-first refactor of the trace pipeline (see
 ``docs/benchmarks.md`` for the document schema):
 
-- **month equivalence** — the windowed ``TraceEngine.run`` must produce a
-  ``MonthTrace`` bit-identical to the legacy materialize-then-sort path
-  (``run_materialized``), record for record, session for session;
+- **month equivalence** — the windowed ``TraceEngine.run``, with its
+  batched per-epoch look-ahead, must produce a ``MonthTrace``
+  bit-identical to the un-batched materialize-then-sort reference
+  (``tests/oracle/trace.py``), record for record, session for session;
 - **resume equivalence** — an :class:`ExposureConsumer` replay
   interrupted mid-run and resumed from its checkpoint must end in exactly
   the state of an uninterrupted replay (same samples, same qualified set,
@@ -34,20 +35,21 @@ import json
 import os
 import sys
 import time
-import warnings
 from typing import Dict, List, Optional
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.bgpsim.rfd import ExposureConsumer, RfdFilter, VENDORS  # noqa: E402
 from repro.bgpsim.stream import DAY, replay  # noqa: E402
 from repro.scenario import Scenario, ScenarioConfig  # noqa: E402
+from tests.oracle.trace import ReferenceTraceEngine  # noqa: E402
 
 from _report import report  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ROOT,
     "results",
     "BENCH_stream.json",
 )
@@ -85,9 +87,12 @@ def month_equivalence(seed: int, duration_days: float) -> Dict:
     streamed_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        materialized = scenario.build_trace_engine().run_materialized()
+    materialized = ReferenceTraceEngine(
+        scenario.graph,
+        scenario.prefix_origins,
+        scenario.tor_prefixes,
+        scenario.config.trace,
+    ).run_materialized()
     materialized_seconds = time.perf_counter() - t0
 
     defects: List[str] = []

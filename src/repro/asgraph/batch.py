@@ -26,7 +26,11 @@ then lowest next-hop dense index == lowest ASN) is preserved exactly:
 Each row is an announcement *set* of plain origin ASNs (so the
 resilience sweep's ``[origin, attacker]`` two-seed rows batch
 naturally); forged-path announcements are not supported here — use
-:func:`compute_routes_fast` for those.  The result is a
+:func:`compute_routes_fast` for those.  Rows need not share an
+exclusion set: a mask marks the cells at each row's excluded-link
+endpoints, and only a marked frontier cell pays a lookup, which names
+the exact candidate to drop, so the shared adjacency arrays are never
+rebuilt.  The result is a
 :class:`BatchOutcome` whose per-origin views are zero-copy
 :class:`~repro.asgraph.fastpath.CompactOutcome` rows, so everything
 downstream of the existing ``RoutingOutcome`` API runs unchanged.
@@ -72,6 +76,7 @@ _SpecArg = Union[int, Iterable[int]]
 _TargetsArg = Union[
     None, FrozenSet[int], Sequence[Optional[FrozenSet[int]]]
 ]
+_Links = FrozenSet[FrozenSet[int]]
 
 
 def _normalise_spec(spec: _SpecArg) -> Tuple[int, ...]:
@@ -110,6 +115,27 @@ def _normalise_targets(
             f"targets sequence has {len(tlist)} entries for {num_rows} rows"
         )
     return tlist
+
+
+def _normalise_exclusions(
+    shared: Optional[Iterable[FrozenSet[int]]],
+    per_row: Optional[Sequence[Optional[Iterable[FrozenSet[int]]]]],
+    num_rows: int,
+) -> List[_Links]:
+    """Each row's excluded links: the shared set plus the row's own."""
+    base: _Links = (
+        frozenset(frozenset(link) for link in shared) if shared else frozenset()
+    )
+    if per_row is None:
+        return [base] * num_rows
+    if len(per_row) != num_rows:
+        raise ValueError(
+            f"row_excluded_links has {len(per_row)} entries for {num_rows} rows"
+        )
+    return [
+        base | frozenset(frozenset(link) for link in links) if links else base
+        for links in per_row
+    ]
 
 
 class BatchOutcome:
@@ -208,6 +234,9 @@ def compute_routes_many(
     *,
     targets: _TargetsArg = None,
     excluded_links: Optional[Iterable[FrozenSet[int]]] = None,
+    row_excluded_links: Optional[
+        Sequence[Optional[Iterable[FrozenSet[int]]]]
+    ] = None,
     origin_export_scopes: Optional[Mapping[int, FrozenSet[int]]] = None,
     stage_timings: Optional[MutableMapping[str, float]] = None,
 ) -> BatchOutcome:
@@ -216,11 +245,13 @@ def compute_routes_many(
     Row ``r`` of the result equals
     ``compute_routes_fast(graph, origins[r], ...)`` exactly (lengths,
     parents, kinds, seeds, tiebreaks), with ``excluded_links`` applied
-    batch-wide, ``origin_export_scopes`` applied to the rows whose
-    announcement set contains the scoped ASN, and ``targets`` either one
-    shared frozenset or a per-row sequence (``None`` entries disable the
-    early exit for that row).  ``graph`` may be the :class:`ASGraph` or
-    its compiled :class:`GraphIndex`.
+    batch-wide plus ``row_excluded_links[r]`` (a per-row sequence;
+    ``None`` entries add nothing) for row ``r`` alone,
+    ``origin_export_scopes`` applied to the rows whose announcement set
+    contains the scoped ASN, and ``targets`` either one shared frozenset
+    or a per-row sequence (``None`` entries disable the early exit for
+    that row).  ``graph`` may be the :class:`ASGraph` or its compiled
+    :class:`GraphIndex`.
     """
     specs = [_normalise_spec(spec) for spec in origins]
     if not specs:
@@ -231,11 +262,7 @@ def compute_routes_many(
         for asn in spec:
             if asn not in idx:
                 raise ValueError(f"origin AS{asn} not in topology")
-    excluded = (
-        frozenset(frozenset(link) for link in excluded_links)
-        if excluded_links
-        else frozenset()
-    )
+    excluded = _normalise_exclusions(excluded_links, row_excluded_links, len(specs))
     scopes = dict(origin_export_scopes) if origin_export_scopes else {}
     if scopes:
         all_seeds = set()
@@ -260,7 +287,7 @@ def compute_routes_many(
             graph,
             specs[:max_rows],
             targets=tlist[:max_rows],
-            excluded_links=excluded or None,
+            row_excluded_links=excluded[:max_rows],
             origin_export_scopes=chunk_scopes(specs[:max_rows]),
             stage_timings=stage_timings,
         )
@@ -268,7 +295,7 @@ def compute_routes_many(
             graph,
             specs[max_rows:],
             targets=tlist[max_rows:],
-            excluded_links=excluded or None,
+            row_excluded_links=excluded[max_rows:],
             origin_export_scopes=chunk_scopes(specs[max_rows:]),
             stage_timings=stage_timings,
         )
@@ -280,27 +307,68 @@ def compute_routes_many(
     return _compute_many_vector(gi, specs, tlist, excluded, scopes, stage_timings)
 
 
-def _dense_blocked(gi: GraphIndex, excluded: FrozenSet[FrozenSet[int]]):
-    """Excluded links as directed dense pairs (both orientations)."""
-    pairs = set()
+def _blocked_runs(gi: GraphIndex, excluded: Sequence[_Links]):
+    """Each row's excluded links, located inside the shared CSR runs.
+
+    Returns ``None`` when no row excludes a link of the topology, else a
+    cell mask and one table per adjacency (provider, customer, peer).  A
+    table lists cells ``r*n + u`` in ascending order, each with the offset,
+    inside ``u``'s run of that adjacency, of a neighbour ``v`` that row
+    ``r`` may not use; the mask marks every listed cell.  Rows sharing one
+    exclusion set share its lookups.
+    """
+    n = gi.n
     idx = gi.idx
-    for link in excluded:
-        if len(link) != 2:
+    csrs = (
+        (gi.prov_start, gi.prov_adj),
+        (gi.cust_start, gi.cust_adj),
+        (gi.peer_start, gi.peer_adj),
+    )
+    rows_by_set: Dict[_Links, List[int]] = {}
+    for row, links in enumerate(excluded):
+        if links:
+            rows_by_set.setdefault(links, []).append(row)
+    parts: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in csrs]
+    for links, rows in rows_by_set.items():
+        pairs: List[Tuple[int, int]] = []
+        for link in links:
+            if len(link) == 2:
+                ia, ib = (idx.get(asn) for asn in link)
+                if ia is not None and ib is not None:
+                    pairs += ((ia, ib), (ib, ia))
+        bases = np.array(rows, dtype=np.int64)[:, None] * n
+        for (start, adj), table in zip(csrs, parts):
+            nodes: List[int] = []
+            offsets: List[int] = []
+            for u, v in pairs:
+                run = adj[start[u] : start[u + 1]]
+                if v in run:
+                    nodes.append(u)
+                    offsets.append(run.index(v))
+            if nodes:
+                cells = (bases + np.array(nodes, dtype=np.int64)).ravel()
+                table.append((cells, np.tile(np.array(offsets), len(rows))))
+    if not any(parts):
+        return None
+    mask = np.zeros(len(excluded) * n, dtype=bool)
+    tables = []
+    for table in parts:
+        if not table:
+            tables.append(None)
             continue
-        a, b = link
-        ia = idx.get(a)
-        ib = idx.get(b)
-        if ia is not None and ib is not None:
-            pairs.add((ia, ib))
-            pairs.add((ib, ia))
-    return pairs
+        cells = np.concatenate([c for c, _ in table])
+        offsets = np.concatenate([o for _, o in table])
+        mask[cells] = True
+        order = np.argsort(cells, kind="stable")
+        tables.append((cells[order], offsets[order]))
+    return mask, tables
 
 
 def _compute_many_vector(
     gi: GraphIndex,
     specs: List[Tuple[int, ...]],
     tlist: List[Optional[FrozenSet[int]]],
-    excluded: FrozenSet[FrozenSet[int]],
+    excluded: Sequence[_Links],
     scopes: Mapping[int, FrozenSet[int]],
     stage_timings: Optional[MutableMapping[str, float]],
 ) -> BatchOutcome:
@@ -323,29 +391,11 @@ def _compute_many_vector(
     cust_start, cust_adj, cust_deg = csr(gi.cust_start, gi.cust_adj)
     peer_start, peer_adj, peer_deg = csr(gi.peer_start, gi.peer_adj)
 
-    blocked = _dense_blocked(gi, excluded) if excluded else set()
-    if blocked:
-
-        def drop_blocked(start, adj, deg):
-            src = np.repeat(np.arange(n, dtype=I32), deg)
-            keep = np.ones(adj.shape[0], dtype=bool)
-            for u, v in blocked:
-                keep &= ~((src == u) & (adj == v))
-            new_adj = adj[keep]
-            new_deg = np.bincount(src[keep], minlength=n).astype(I32)
-            new_start = np.zeros(n + 1, dtype=I32)
-            np.cumsum(new_deg, out=new_start[1:])
-            return new_start, new_adj, new_deg
-
-        prov_start, prov_adj, prov_deg = drop_blocked(
-            prov_start, prov_adj, prov_deg
-        )
-        cust_start, cust_adj, cust_deg = drop_blocked(
-            cust_start, cust_adj, cust_deg
-        )
-        peer_start, peer_adj, peer_deg = drop_blocked(
-            peer_start, peer_adj, peer_deg
-        )
+    blocked = _blocked_runs(gi, excluded)
+    if blocked is not None:
+        blk_mask, (prov_blk, cust_blk, peer_blk) = blocked
+    else:
+        prov_blk = cust_blk = peer_blk = None
 
     # Export scopes as (dense source node, allowed-destination bool mask).
     scope_items: List[Tuple[int, object]] = []
@@ -414,7 +464,7 @@ def _compute_many_vector(
             return cells[~frozen[cells // n]]
         return cells
 
-    def expand(f_cells, start, adj, deg, with_rep=False):
+    def expand(f_cells, start, adj, deg, blk, with_rep=False):
         """Ragged CSR expansion of a (descending) frontier of cells.
 
         Returns per-candidate arrays: destination cell, source node,
@@ -422,6 +472,7 @@ def _compute_many_vector(
         each candidate came from.  Descending frontier order makes the
         candidates for any one destination cell appear in descending
         source order — the invariant the min-next-hop dedup relies on.
+        ``blk`` is this adjacency's table from :func:`_blocked_runs`.
         """
         f_nodes = f_cells % n
         d = deg[f_nodes]
@@ -446,6 +497,27 @@ def _compute_many_vector(
         srcs = np.repeat(f_nodes.astype(IP), d)
         flat = np.add(rowbase, dsts, out=dsts)
         rep = np.repeat(rep_src, d) if with_rep else None
+        if blk is not None:
+            # Only a marked frontier cell (an excluded-link endpoint of its
+            # row) can expand over an excluded link, and the table names
+            # the exact candidate: its run start plus the stored offset.
+            # A blocked candidate is pointed back at its own source node's
+            # cell, which every consumer already drops: a routed
+            # destination in ``finalize``, an unrouted peer in the inverted
+            # (targets-first) scan.
+            marked = np.flatnonzero(blk_mask[f_cells])
+            if marked.shape[0]:
+                blk_cells, blk_offs = blk
+                at = f_cells[marked]
+                lo = np.searchsorted(blk_cells, at, "left")
+                cnt = np.searchsorted(blk_cells, at, "right") - lo
+                total_blk = int(cnt.sum())
+                if total_blk:
+                    entry = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                    entry += np.arange(total_blk)
+                    cand = np.repeat(cum[marked] - d[marked], cnt)
+                    cand += blk_offs[entry]
+                    flat[cand] = rowbase[cand] + srcs[cand]
         return flat, srcs, rowbase, rep
 
     def scope_filter(flat, srcs, rowbase):
@@ -520,7 +592,7 @@ def _compute_many_vector(
     level = 1
     while frontier is not None and frontier.shape[0]:
         frontier = drop_frozen(frontier)
-        out = expand(frontier, prov_start, prov_adj, prov_deg)
+        out = expand(frontier, prov_start, prov_adj, prov_deg, prov_blk)
         if out is None:
             break
         flat, srcs, rowbase, _ = out
@@ -539,7 +611,7 @@ def _compute_many_vector(
         # the full peer frontier or stage 3 (the serial early return).
         tc = tcells_all[avail[tcells_all]]
         if tc.shape[0]:
-            out = expand(tc, peer_start, peer_adj, peer_deg, with_rep=True)
+            out = expand(tc, peer_start, peer_adj, peer_deg, peer_blk, with_rep=True)
             if out is not None:
                 # Inverted expansion: ``flat`` is the *source* cell (the
                 # target's peer), ``srcs`` the target node itself.
@@ -576,7 +648,7 @@ def _compute_many_vector(
     sources = drop_frozen(stage1_cells)
     if sources.shape[0]:
         for level, group in by_level(sources).items():
-            out = expand(group, peer_start, peer_adj, peer_deg)
+            out = expand(group, peer_start, peer_adj, peer_deg, peer_blk)
             if out is None:
                 continue
             flat, srcs, rowbase, _ = out
@@ -610,7 +682,7 @@ def _compute_many_vector(
                 frontier = np.sort(np.concatenate(parts))[::-1].copy()
             frontier = drop_frozen(frontier)
             if frontier.shape[0]:
-                out = expand(frontier, cust_start, cust_adj, cust_deg)
+                out = expand(frontier, cust_start, cust_adj, cust_deg, cust_blk)
                 if out is not None:
                     flat, srcs, rowbase, _ = out
                     if scope_items:

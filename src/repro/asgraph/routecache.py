@@ -8,7 +8,8 @@ irrelevant to most announcements, so a cache keyed on the whole
 exclusion set would recompute every announcement on every churn event.
 :class:`RouteCache` keys an entry on ``(announcement, relevant)``
 instead, where ``relevant`` holds only the excluded links the routes
-would otherwise cross, grown by a fixpoint (:meth:`RouteCache.resolve`).
+would otherwise cross, grown by a fixpoint (:meth:`RouteCache.resolve`,
+or :meth:`RouteCache.resolve_many` for many keys in batched rounds).
 
 Soundness of the fixpoint: a route set computed under ``E' ⊆ E`` whose
 routes avoid *all* of ``E`` is feasible under ``E``, and optimal under
@@ -41,6 +42,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -72,6 +74,8 @@ class RouteCache(Generic[_Entry]):
     """Thread-safe LRU of route entries keyed on their relevant exclusions.
 
     ``compute(announcement, relevant)`` builds the entry for a key;
+    ``compute_many(keys)`` (optional) builds the entries of a list of
+    ``(announcement, relevant)`` keys at once, in key order;
     ``crossed(entry, links)`` returns the links among ``links`` that the
     entry's routes traverse.  Every lookup counts into the :mod:`repro.obs`
     counters ``<counters>.hits`` / ``.misses`` / ``.evictions``, and every
@@ -85,11 +89,15 @@ class RouteCache(Generic[_Entry]):
         *,
         cap: int,
         counters: str,
+        compute_many: Optional[
+            Callable[[List[Tuple[Hashable, _Links]]], List[_Entry]]
+        ] = None,
     ) -> None:
         if cap < 1:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._compute = compute
+        self._compute_many = compute_many
         self._crossed = crossed
         self._counters = counters
         self._lock = threading.Lock()
@@ -119,16 +127,51 @@ class RouteCache(Generic[_Entry]):
         grows by every excluded link the current entry's routes cross until
         they cross none, computing each missing entry on the way.
         """
-        while True:
-            key = (announcement, relevant)
-            entry = self.get(key)
-            if entry is None:
-                entry = self._compute(announcement, relevant)
-                self.put(key, entry)
-            violated = self._crossed(entry, excluded - relevant)
-            if not violated:
-                return entry, relevant
-            relevant = relevant | violated
+        return self.resolve_many([(announcement, excluded, relevant)])[0]
+
+    def resolve_many(
+        self, requests: Sequence[Tuple[Hashable, _Links, _Links]]
+    ) -> List[Tuple[_Entry, _Links]]:
+        """:meth:`resolve` for every ``(announcement, excluded, relevant)``.
+
+        The fixpoints advance in rounds.  A round looks up each distinct
+        key once (one hit or miss each), then builds the missing entries
+        together: with ``compute`` when one is missing, else with one
+        ``compute_many`` call (or ``compute`` per key without it).
+        Returns ``(entry, key)`` pairs in request order.
+        """
+        results: List[Optional[Tuple[_Entry, _Links]]] = [None] * len(requests)
+        keys = [(announcement, relevant) for announcement, _, relevant in requests]
+        todo = range(len(requests))
+        while todo:
+            entries: Dict[Tuple[Hashable, _Links], Optional[_Entry]] = {}
+            missing = []
+            for i in todo:
+                key = keys[i]
+                if key not in entries:
+                    entries[key] = entry = self.get(key)
+                    if entry is None:
+                        missing.append(key)
+            if missing:
+                if len(missing) > 1 and self._compute_many is not None:
+                    built = self._compute_many(missing)
+                else:
+                    built = [self._compute(*key) for key in missing]
+                for key, entry in zip(missing, built):
+                    entries[key] = entry
+                    self.put(key, entry)
+            later = []
+            for i in todo:
+                announcement, relevant = key = keys[i]
+                entry = entries[key]
+                violated = self._crossed(entry, requests[i][1] - relevant)
+                if violated:
+                    keys[i] = (announcement, relevant | violated)
+                    later.append(i)
+                else:
+                    results[i] = (entry, relevant)
+            todo = later
+        return results  # type: ignore[return-value]
 
     def get(self, key: Tuple[Hashable, _Links]) -> Optional[_Entry]:
         """Look ``key`` up, counting a hit or a miss; a hit becomes most recent."""
@@ -289,6 +332,7 @@ class LiveRoutes:
             CompactOutcome.links_crossed,
             cap=cap,
             counters="serve.pool",
+            compute_many=self._compute_many,
         )
         self._gate = _RWGate()
         self._lock = threading.Lock()
@@ -301,6 +345,23 @@ class LiveRoutes:
 
     def _compute(self, origins: _Origins, relevant: _Links) -> CompactOutcome:
         return compute_routes_fast(self.graph, origins, excluded_links=relevant)
+
+    def _compute_many(
+        self, keys: List[Tuple[_Origins, _Links]]
+    ) -> List[CompactOutcome]:
+        """One ``compute_routes_many`` call per relevant-link set, its rows
+        kept as list-backed trees."""
+        groups: Dict[_Links, List[int]] = {}
+        for i, (_origins, relevant) in enumerate(keys):
+            groups.setdefault(relevant, []).append(i)
+        trees: List[Optional[CompactOutcome]] = [None] * len(keys)
+        for relevant, rows in groups.items():
+            batch = compute_routes_many(
+                self.graph, [keys[i][0] for i in rows], excluded_links=relevant
+            )
+            for row, i in enumerate(rows):
+                trees[i] = batch.outcome(row).detached()
+        return trees  # type: ignore[return-value]
 
     # -- introspection -------------------------------------------------------
 
@@ -412,30 +473,11 @@ class LiveRoutes:
         )
 
     def _resync(self, todo: Dict[_Origins, _Links], excluded: _Links) -> None:
-        """Resolve every key in ``todo`` under ``excluded`` (writer side).
-
-        The fixpoint of :meth:`RouteCache.resolve`, run for all keys at
-        once: each round makes one ``compute_routes_many`` call per
-        relevant-link set for the keys the cache cannot answer.
-        """
-        while todo:
-            groups: Dict[_Links, List[_Origins]] = {}
-            for key, relevant in todo.items():
-                groups.setdefault(relevant, []).append(key)
-            todo = {}
-            for relevant, keys in groups.items():
-                trees = {key: self._cache.get((key, relevant)) for key in keys}
-                missing = [key for key, tree in trees.items() if tree is None]
-                if missing:
-                    batch = compute_routes_many(
-                        self.graph, missing, excluded_links=relevant
-                    )
-                    for row, key in enumerate(missing):
-                        trees[key] = batch.outcome(row).detached()
-                        self._cache.put((key, relevant), trees[key])
-                for key, tree in trees.items():
-                    violated = tree.links_crossed(excluded - relevant)
-                    if violated:
-                        todo[key] = relevant | violated
-                    else:
-                        self._resolved[key] = relevant
+        """Resolve every key in ``todo`` under ``excluded`` (writer side),
+        all at once through :meth:`RouteCache.resolve_many`."""
+        keys = list(todo)
+        resolved = self._cache.resolve_many(
+            [(key, excluded, todo[key]) for key in keys]
+        )
+        for key, (_tree, relevant) in zip(keys, resolved):
+            self._resolved[key] = relevant

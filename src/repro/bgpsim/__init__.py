@@ -58,7 +58,7 @@ from repro.bgpsim.resets import (
     detect_resets,
     remove_reset_artifacts,
 )
-from repro.bgpsim.mrt import dumps_stream, iter_records, loads_stream, write_records
+from repro.bgpsim.mrt import iter_records, write_records
 from repro.bgpsim.rpki import Roa, RpkiRegistry, simulate_hijack_with_rov, adoption_sweep
 
 __all__ = [
@@ -100,9 +100,7 @@ __all__ = [
     "ResetDetectionConfig",
     "detect_resets",
     "remove_reset_artifacts",
-    "dumps_stream",
     "iter_records",
-    "loads_stream",
     "write_records",
     "Roa",
     "RpkiRegistry",

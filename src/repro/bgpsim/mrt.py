@@ -19,19 +19,15 @@ record iterator to a file one line at a time, and :func:`iter_records`
 reads one back as a lazy :class:`RecordStream` (an
 :class:`~repro.bgpsim.collector.UpdateSource` — feed it straight into
 ``merge_sources``/``replay``), so million-record files round-trip without
-either end ever holding the whole stream.  The legacy whole-string API
-(``dumps_stream``/``loads_stream`` and friends) survives as thin
-deprecated wrappers.
+either end ever holding the whole stream.
 """
 
 from __future__ import annotations
 
-import io
-import warnings
 from typing import Iterable, Iterator, Optional, TextIO
 
 from repro.analysis.prefixes import Prefix
-from repro.bgpsim.collector import SessionId, UpdateRecord, UpdateStream
+from repro.bgpsim.collector import SessionId, UpdateRecord
 
 __all__ = [
     "encode_record",
@@ -41,10 +37,6 @@ __all__ = [
     "write_records",
     "iter_records",
     "RecordStream",
-    "dump_stream",
-    "dumps_stream",
-    "load_stream",
-    "loads_stream",
 ]
 
 _HEADER = "session"
@@ -182,46 +174,3 @@ def iter_records(fh: TextIO, *, tolerate_torn_tail: bool = False) -> RecordStrea
     neither direction ever materializes the stream.
     """
     return RecordStream(fh, tolerate_torn_tail=tolerate_torn_tail)
-
-
-# -- legacy whole-string API (deprecated) ------------------------------------
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"{name}() materializes the whole stream; use {replacement} "
-        "for bounded-memory round-trips",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def dumps_stream(stream: UpdateStream) -> str:
-    """Serialise one stream to text.  Deprecated: :func:`write_records`."""
-    _warn_legacy("dumps_stream", "write_records")
-    out = io.StringIO()
-    write_records(out, stream.session, stream)
-    return out.getvalue()
-
-
-def dump_stream(stream: UpdateStream, fh: TextIO) -> None:
-    """Serialise one stream to an open text file.  Deprecated:
-    :func:`write_records`."""
-    _warn_legacy("dump_stream", "write_records")
-    write_records(fh, stream.session, stream)
-
-
-def loads_stream(text: str) -> UpdateStream:
-    """Parse the output of :func:`dumps_stream`.  Deprecated:
-    :func:`iter_records`."""
-    _warn_legacy("loads_stream", "iter_records")
-    source = iter_records(io.StringIO(text))
-    return UpdateStream(source.session, list(source))
-
-
-def load_stream(fh: TextIO) -> UpdateStream:
-    """Parse a stream from an open text file.  Deprecated:
-    :func:`iter_records`."""
-    _warn_legacy("load_stream", "iter_records")
-    source = iter_records(fh)
-    return UpdateStream(source.session, list(source))

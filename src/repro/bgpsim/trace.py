@@ -38,14 +38,14 @@ import hashlib
 import heapq
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.analysis.prefixes import Prefix
+from repro.asgraph.batch import compute_routes_many
 from repro.asgraph.engine import shared_engine
-from repro.asgraph.fastpath import compute_routes_fast
+from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
 from repro.asgraph.routecache import RouteCache
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import (
@@ -70,6 +70,10 @@ _DAY = 86_400.0
 _Link = FrozenSet[int]
 #: a route-cache entry: ({vantage: path or None}, links those paths cross)
 _VantageEntry = Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]
+#: the events that open a new core epoch (they change the core exclusions)
+_CORE_EVENTS = ("core_fail", "core_recover")
+#: most rows per look-ahead kernel call: bounds the batch block's memory
+_BATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,7 @@ class TraceEngine:
             lambda entry, links: entry[1] & links,
             cap=config.route_cache_cap,
             counters="trace.route_cache",
+            compute_many=self._paths_for_keys,
         )
         self._vantages: List[int] = []
         self._vantage_targets: FrozenSet[int] = frozenset()
@@ -254,9 +259,8 @@ class TraceEngine:
 
         Replay-backed: opens the streaming generator (:meth:`open_stream`)
         and materializes it through a :class:`MonthTraceBuilder`, one
-        bounded window at a time — bit-identical to the pre-refactor
-        materialize-then-sort path (:meth:`run_materialized`, kept as the
-        equivalence reference).
+        bounded window at a time — bit-identical to the materialize-then-
+        sort reference without look-ahead in ``tests/oracle/trace.py``.
         """
         cfg = self.config
         with obs.span(
@@ -296,16 +300,22 @@ class TraceEngine:
         horizon is ever buffered).
 
         Consuming the iterator advances this engine's RNG and caches, so
-        a stream can be opened and drained once per engine run.
+        a stream can be opened and drained once per engine run.  Before
+        the first event of each core epoch (the span up to the next
+        core-link event) the iterator resolves every route the epoch will
+        ask for in batched kernel runs (:meth:`_look_ahead`).
         """
         cfg = self.config
         emitter = _HeapEmitter()
         prep = self._prepare(emitter)
 
         def iterate() -> Iterator[StreamEvent]:
-            for time, kind, detail in prep.schedule:
+            for i, (time, kind, detail) in enumerate(prep.schedule):
                 for event in emitter.drain(time, cfg.duration):
                     yield event
+                if i == 0 or kind in _CORE_EVENTS:
+                    reroutes, core = self._epoch_reroutes(prep, i)
+                    self._look_ahead(reroutes, core, prep.current_path)
                 self._apply_event(time, kind, detail, prep, emitter)
             for event in emitter.drain(None, cfg.duration):
                 yield event
@@ -322,64 +332,6 @@ class TraceEngine:
             fingerprint=self._fingerprint(),
             iterator=iterate(),
         )
-
-    def run_materialized(self) -> MonthTrace:
-        """The pre-refactor materialize-then-sort path.
-
-        Collects every pending record in one list, sorts it, and builds
-        the streams — exactly what :meth:`run` did before the streaming
-        refactor.  Kept (deprecated) as the reference side of the
-        bit-identical equivalence gate in ``benchmarks/bench_stream.py``;
-        new code should use :meth:`run` or :meth:`open_stream`.
-        """
-        warnings.warn(
-            "run_materialized() is the pre-refactor reference path kept for "
-            "equivalence gates; use run() (replay-backed) or open_stream()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cfg = self.config
-        with obs.span(
-            "trace.run",
-            prefixes=len(self.prefix_origins),
-            tor_prefixes=len(self.tor_prefixes),
-            duration_days=cfg.duration_days,
-        ) as run_span:
-            pending: List[Tuple[float, UpdateRecord, SessionId]] = []
-            prep = self._prepare(pending)
-            with obs.span("trace.events", scheduled=len(prep.schedule)):
-                for time, kind, detail in prep.schedule:
-                    self._apply_event(time, kind, detail, prep, pending)
-
-            streams: Dict[SessionId, UpdateStream] = {
-                s: UpdateStream(s) for s in prep.sessions
-            }
-            pending.sort(key=lambda item: item[0])
-            for emit_time, record, session in pending:
-                if emit_time > cfg.duration:
-                    continue
-                streams[session].append(
-                    UpdateRecord(
-                        emit_time, record.prefix, record.as_path, record.from_reset
-                    )
-                )
-
-            trace = MonthTrace(
-                streams=streams,
-                collectors=prep.collectors,
-                prefix_origins=dict(self.prefix_origins),
-                tor_prefixes=self.tor_prefixes,
-                duration=cfg.duration,
-                events=prep.events_gt,
-                session_prefixes=prep.session_prefixes,
-                observer_sessions=prep.observer_sessions,
-            )
-            run_span.set(
-                events=len(trace.events),
-                records=sum(len(s) for s in trace.streams.values()),
-                sessions=len(trace.streams),
-            )
-            return trace
 
     # -- generation ----------------------------------------------------------
 
@@ -406,10 +358,11 @@ class TraceEngine:
         """Everything before the event loop, in RNG-draw order.
 
         Builds the vantage roster, visibility, the t=0 initial table
-        (emitted into ``pending``), and the event schedule.  ``pending``
-        is any object with ``append((time, record, session))`` — a plain
-        list for the materialized path, a :class:`_HeapEmitter` for the
-        streaming path — so both paths consume the RNG identically.
+        (emitted into ``pending``; its routes are looked ahead over all
+        origins at once), and the event schedule.  ``pending`` is any
+        object with ``append((time, record, session))`` — a
+        :class:`_HeapEmitter` for the streaming path, a plain list for the
+        materialized reference — so both consume the RNG identically.
         """
         rng = self._rng
 
@@ -455,6 +408,10 @@ class TraceEngine:
 
         # t=0: initial table (the month's "first path" baseline).
         with obs.span("trace.initial_table"):
+            no_links: FrozenSet[_Link] = frozenset()
+            self._look_ahead(
+                [(p, no_links) for p in self.prefix_origins], no_links, None
+            )
             for prefix, origin in self.prefix_origins.items():
                 paths, links = self._vantage_paths(origin, frozenset(), frozenset())
                 self._set_prefix_links(prefix, links)
@@ -761,6 +718,31 @@ class TraceEngine:
             excluded_links=excluded,
             targets=self._vantage_targets,
         )
+        return self._vantage_entry(outcome)
+
+    def _paths_for_keys(
+        self, keys: List[Tuple[int, FrozenSet[_Link]]]
+    ) -> List[_VantageEntry]:
+        """Entries for many ``(origin, excluded)`` keys: batched kernel
+        runs with per-row exclusions, at most ``_BATCH_ROWS`` rows each
+        (chunks split evenly, so no chunk is left with a lone row)."""
+        chunks = -(-len(keys) // _BATCH_ROWS)
+        size = -(-len(keys) // chunks)
+        entries: List[_VantageEntry] = []
+        for lo in range(0, len(keys), size):
+            chunk = keys[lo : lo + size]
+            batch = compute_routes_many(
+                self.graph,
+                [origin for origin, _ in chunk],
+                targets=self._vantage_targets,
+                row_excluded_links=[excluded for _, excluded in chunk],
+            )
+            entries.extend(
+                self._vantage_entry(batch.outcome(row)) for row in range(len(chunk))
+            )
+        return entries
+
+    def _vantage_entry(self, outcome: CompactOutcome) -> _VantageEntry:
         paths = {v: outcome.path(v) for v in self._vantages}
         links: Set[_Link] = set()
         for path in paths.values():
@@ -768,6 +750,88 @@ class TraceEngine:
                 for a, b in zip(path, path[1:]):
                     links.add(frozenset((a, b)))
         return paths, frozenset(links)
+
+    def _epoch_reroutes(
+        self, prep: "_PreparedRun", start: int
+    ) -> Tuple[List[Tuple[Prefix, FrozenSet[_Link]]], FrozenSet[_Link]]:
+        """The reroutes of the core epoch opening at ``prep.schedule[start]``.
+
+        Returns ``(prefix, local exclusions)`` in replay order — the
+        opening core event's displaced prefixes, then every ``te_switch``
+        up to the next core-link event — and the epoch's core exclusion
+        set.  Reads the replay state and changes none of it.
+        """
+        schedule = prep.schedule
+        core = set(prep.excluded_core)
+        _time, kind, link = schedule[start]
+        affected: Iterable[Prefix] = ()
+        if kind == "core_fail":
+            core.add(link)
+            affected = self._link_prefixes.get(link, ())
+        elif kind == "core_recover":
+            core.discard(link)
+            affected = prep.core_affected.get(link, ())
+        reroutes = [(p, prep.prefix_excluded[p]) for p in affected]
+        for i in range(start + 1, len(schedule)):
+            _time, kind, detail = schedule[i]
+            if kind in _CORE_EVENTS:
+                break
+            if kind == "te_switch":
+                reroutes.append(detail)
+        return reroutes, frozenset(core)
+
+    def _look_ahead(
+        self,
+        reroutes: Sequence[Tuple[Prefix, FrozenSet[_Link]]],
+        excluded_core: FrozenSet[_Link],
+        current_path: Optional[Mapping[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]]],
+    ) -> None:
+        """Resolve ahead, in batched kernel runs, the routes ``reroutes`` ask for.
+
+        ``reroutes`` are ``(prefix, local exclusions)`` in replay order,
+        all under the core exclusion set ``excluded_core``.  Their route
+        keys go through one :meth:`RouteCache.resolve_many
+        <repro.asgraph.routecache.RouteCache.resolve_many>`.  With
+        ``current_path`` (the per-session paths before the first
+        reroute), so do the transient-detour keys of the reroutes whose
+        paths change at some session: a prefix's paths change only at its
+        own reroutes, so this is known before the replay draws whether a
+        transient is emitted.  Only the cache changes, and an entry is a
+        pure function of its key, so the records cannot move; a
+        looked-ahead entry evicted before its use is recomputed.
+        """
+        cache = self._route_cache
+        origins = self.prefix_origins
+        keys = list(dict.fromkeys((origins[p], local) for p, local in reroutes))
+        resolved = cache.resolve_many(
+            [(origin, excluded_core | local, local) for origin, local in keys]
+        )
+        if current_path is None:
+            return
+        paths_of = {key: entry[0] for key, (entry, _rel) in zip(keys, resolved)}
+        last: Dict[Prefix, Dict[int, Optional[Tuple[int, ...]]]] = {}
+        detours: Dict[Tuple[int, FrozenSet[_Link]], None] = {}
+        for prefix, local in reroutes:
+            origin = origins[prefix]
+            paths = paths_of[(origin, local)]
+            before = last.get(prefix)
+            last[prefix] = paths
+            for session in self._sessions_by_prefix[prefix]:
+                new_path = paths.get(session[1])
+                old_path = (
+                    current_path.get((session, prefix))
+                    if before is None
+                    else before.get(session[1])
+                )
+                if new_path != old_path and new_path is not None and len(new_path) > 1:
+                    detour = self._canonical_detour(paths)
+                    if detour is not None:
+                        detours[(origin, local | {detour})] = None
+                    break
+        if detours:
+            cache.resolve_many(
+                [(origin, excluded_core | rel, rel) for origin, rel in detours]
+            )
 
     def _set_prefix_links(self, prefix: Prefix, links: FrozenSet[_Link]) -> None:
         """Record the links under a prefix's current vantage paths, keeping
@@ -887,9 +951,9 @@ class TraceEngine:
 
 @dataclass
 class _PreparedRun:
-    """Shared pre-event-loop state between the streaming and materialized
-    paths: the vantage roster, schedule, and the mutable routing state the
-    event loop folds over."""
+    """Pre-event-loop state shared by the streaming path and the
+    materialized reference: the vantage roster, schedule, and the mutable
+    routing state the event loop folds over."""
 
     collectors: List[Collector]
     observer_sessions: List[SessionId]
@@ -908,7 +972,7 @@ class _PreparedRun:
 class _HeapEmitter:
     """Min-heap ``pending`` sink that replays records in emission order.
 
-    Drop-in for the materialized path's list: ``append`` takes the same
+    Drop-in for the materialized reference's list: ``append`` takes the same
     ``(time, record, session)`` tuples, but :meth:`drain` pops everything
     due strictly before a watermark in ``(time, insertion order)`` order —
     exactly the order a stable sort of the full list would produce, which

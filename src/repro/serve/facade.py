@@ -622,14 +622,13 @@ class QueryFacade:
             }
             return tuple(sorted(deps))
         if isinstance(query, HijackQuery):
-            pair = tuple(sorted((query.victim, query.attacker)))
             from repro.bgpsim.attacks import AttackKind
 
             if query.kind == AttackKind.SAME_PREFIX.value:
-                return (pair,)
-            # Other attack kinds mix the pair propagation with single-origin
-            # baselines; depend on all three, conservatively.
-            return tuple(sorted({(query.victim,), (query.attacker,), pair}))
+                return (tuple(sorted((query.victim, query.attacker))),)
+        # Other attack kinds are answered through the engine with
+        # export-scoped announcements, outside the live trees, so no live
+        # key proves them unchanged: no dependencies, dropped every epoch.
         return ()
 
     def _endpoints_ok(

@@ -2,8 +2,8 @@
 
 ``compute_routes_many`` must be invisible per row: element-wise identical
 to ``compute_routes_fast`` — lengths, parents, kinds, seeds, tiebreaks —
-for every combination of origin sets, excluded links, export scopes and
-(shared or per-row) early-exit targets.  The property test sweeps random
+for every combination of origin sets, (shared or per-row) excluded
+links, export scopes and (shared or per-row) early-exit targets.  The property test sweeps random
 Internets through random batch shapes; every row is also checked route
 for route against the path-tuple reference kernel in
 ``tests/oracle/routing.py``.  The unit tests pin the ``BatchOutcome`` API
@@ -142,6 +142,79 @@ class TestEquivalenceProperty:
                 got = batch.outcome(row)
                 assert dict(got.items()) == dict(want.items()), (row, spec)
                 assert got.origins == want.origins
+
+
+class TestPerRowExclusions:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.randoms(use_true_random=False),
+    )
+    def test_rows_with_their_own_exclusions_match_fast(self, seed, rng):
+        """Rows that share an origin under different exclusion sets, on
+        top of an optional shared set, with scopes and targets: each row
+        equals ``compute_routes_fast`` under its own union.  A target
+        that peers with the origin sends the row through the stage-2
+        targets-first scan, often with that very peering link excluded."""
+        g = generate_topology(
+            TopologyConfig(num_ases=90, num_tier1=3, num_tier2=15, seed=seed)
+        )
+        ases = sorted(g.ases)
+        links = sorted((frozenset((a, b)) for a, b, _ in g.links()), key=sorted)
+        peered = [a for a in ases if g.peers(a)]
+
+        specs, own, tlist = [], [], []
+        for _ in range(rng.randint(1, 4)):
+            origin = rng.choice(peered)
+            peer = rng.choice(sorted(g.peers(origin)))
+            near = [link for link in links if origin in link]
+            for _ in range(rng.randint(1, 3)):
+                excluded = set(rng.sample(links, rng.randint(0, 5)))
+                excluded.update(rng.sample(near, rng.randint(0, len(near))))
+                if rng.random() < 0.2:
+                    specs.append(tuple(sorted({origin, rng.choice(ases)})))
+                else:
+                    specs.append((origin,))
+                own.append(frozenset(excluded) if excluded else None)
+                shape = rng.random()
+                if shape < 0.4:
+                    tlist.append(frozenset({peer}))
+                elif shape < 0.7:
+                    tlist.append(frozenset(rng.sample(ases, rng.randint(1, 5))))
+                else:
+                    tlist.append(None)
+        shared = rng.sample(links, 2) if rng.random() < 0.3 else None
+
+        scopes = None
+        if rng.random() < 0.4:
+            scoped = rng.choice(sorted({a for spec in specs for a in spec}))
+            nbrs = sorted(g.neighbours(scoped))
+            scopes = {
+                scoped: frozenset(rng.sample(nbrs, rng.randint(1, len(nbrs))))
+            }
+
+        batch = compute_routes_many(
+            g,
+            specs,
+            targets=tlist,
+            excluded_links=shared,
+            row_excluded_links=own,
+            origin_export_scopes=scopes,
+        )
+        for row, spec in enumerate(specs):
+            row_scopes = {a: s for a, s in (scopes or {}).items() if a in spec}
+            fast = compute_routes_fast(
+                g,
+                spec,
+                excluded_links=set(shared or ()) | set(own[row] or ()),
+                origin_export_scopes=row_scopes or None,
+                targets=tlist[row],
+            )
+            assert_row_matches(batch, row, fast, g)
+
+    def test_row_exclusions_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 entries for 1 rows"):
+            compute_routes_many(diamond(), [1], row_excluded_links=[None, None])
 
 
 class TestBatchOutcomeAPI:

@@ -6,17 +6,23 @@ import pytest
 
 from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import UpdateRecord, UpdateStream
-from repro.bgpsim.mrt import (
-    dump_stream,
-    dumps_stream,
-    iter_records,
-    load_stream,
-    loads_stream,
-    write_records,
-)
+from repro.bgpsim.mrt import iter_records, write_records
 
 P = Prefix.parse("10.0.0.0/24")
 Q = Prefix.parse("10.1.0.0/16")
+
+
+def dumps(stream):
+    """One stream as text, written record by record."""
+    buffer = io.StringIO()
+    write_records(buffer, stream.session, stream)
+    return buffer.getvalue()
+
+
+def loads(text):
+    """Text read back into a whole stream."""
+    source = iter_records(io.StringIO(text))
+    return UpdateStream(source.session, list(source))
 
 
 def sample_stream():
@@ -34,7 +40,7 @@ def sample_stream():
 class TestRoundTrip:
     def test_roundtrip_preserves_everything(self):
         stream = sample_stream()
-        parsed = loads_stream(dumps_stream(stream))
+        parsed = loads(dumps(stream))
         assert parsed.session == stream.session
         assert len(parsed) == len(stream)
         for a, b in zip(parsed, stream):
@@ -48,17 +54,17 @@ class TestRoundTrip:
     def test_file_roundtrip(self):
         stream = sample_stream()
         buffer = io.StringIO()
-        dump_stream(stream, buffer)
+        write_records(buffer, stream.session, stream)
         buffer.seek(0)
-        parsed = load_stream(buffer)
+        parsed = iter_records(buffer)
         assert parsed.session == stream.session
-        assert len(parsed) == len(stream)
+        assert len(list(parsed)) == len(stream)
 
     def test_trace_stream_roundtrip(self, small_trace):
         trace, _ = small_trace
         session = trace.collector_sessions[0]
         stream = trace.streams[session]
-        parsed = loads_stream(dumps_stream(stream))
+        parsed = loads(dumps(stream))
         assert len(parsed) == len(stream)
         assert parsed.prefixes() == stream.prefixes()
         # analyses agree on the round-tripped stream
@@ -68,13 +74,13 @@ class TestRoundTrip:
 
 class TestFormat:
     def test_reset_flag_encoded(self):
-        text = dumps_stream(sample_stream())
+        text = dumps(sample_stream())
         assert "|R" in text
         assert text.startswith("session|rrc00|42")
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nsession|rrc01|7\nA|1.000|10.0.0.0/24|7 1|\n"
-        stream = loads_stream(text)
+        stream = loads(text)
         assert stream.session == ("rrc01", 7)
         assert len(stream) == 1
 
@@ -91,7 +97,7 @@ class TestFormat:
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
-            loads_stream(bad)
+            loads(bad)
 
 
 def records_equal(a, b):
@@ -185,27 +191,3 @@ class TestStreamingCodec:
         first = next(it)
         assert first.time == 0.0
         assert sum(1 for _ in it) == n - 1
-
-
-class TestLegacyWrappers:
-    def test_legacy_equivalent_to_streaming(self):
-        stream = sample_stream()
-        with pytest.warns(DeprecationWarning):
-            text = dumps_stream(stream)
-        buffer = io.StringIO()
-        write_records(buffer, stream.session, stream)
-        assert text == buffer.getvalue()
-        with pytest.warns(DeprecationWarning):
-            parsed = loads_stream(text)
-        assert parsed.session == stream.session
-        assert records_equal(parsed, stream)
-
-    def test_file_wrappers_warn(self):
-        stream = sample_stream()
-        buffer = io.StringIO()
-        with pytest.warns(DeprecationWarning):
-            dump_stream(stream, buffer)
-        buffer.seek(0)
-        with pytest.warns(DeprecationWarning):
-            parsed = load_stream(buffer)
-        assert records_equal(parsed, stream)

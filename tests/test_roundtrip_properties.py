@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import UpdateRecord, UpdateStream
-from repro.bgpsim.mrt import dumps_stream, iter_records, loads_stream, write_records
+from repro.bgpsim.mrt import iter_records, write_records
 from repro.tor.exitpolicy import ExitPolicy, PolicyRule
 
 _prefixes = st.builds(
@@ -41,8 +41,10 @@ class TestMrtRoundTripProperty:
             for t, p, path, reset in sorted(raw, key=lambda r: r[0])
         ]
         stream = UpdateStream(("rrc00", 7), records)
-        with pytest.warns(DeprecationWarning):
-            parsed = loads_stream(dumps_stream(stream))
+        buffer = io.StringIO()
+        write_records(buffer, stream.session, stream)
+        source = iter_records(io.StringIO(buffer.getvalue()))
+        parsed = UpdateStream(source.session, list(source))
         assert parsed.session == stream.session
         assert len(parsed) == len(stream)
         for a, b in zip(parsed, stream):

@@ -406,6 +406,31 @@ class TestBitIdenticalServing:
         assert cache.hits == hits_before + len(report.proven_keys)
 
 
+    def test_scoped_attack_answers_do_not_outlive_their_epoch(self):
+        """An interception answer comes from export-scoped routes outside
+        the live trees, so an epoch that proves every live key it touches
+        must still drop it: here the fourth epoch proves all three and
+        the cached answer would be stale."""
+        graph = generate_topology(
+            TopologyConfig(num_ases=60, num_tier1=4, num_tier2=15, seed=4)
+        )
+        queries = (
+            HijackQuery(victim=49, attacker=11, kind="interception", clients=(52,)),
+            HijackQuery(victim=49, attacker=11, clients=(52,)),
+            PathQuery(src=52, dst=49),
+            PathQuery(src=52, dst=11),
+        )
+        _live, facade = _live_facade(graph, ResultCache())
+        facade.execute_batch(BatchRequest(queries=queries))
+        excluded = set()
+        for link in ((0, 57), (1, 28), (1, 14), (17, 41)):
+            report = facade.apply_events([("down", link)])
+            excluded.add(frozenset(link))
+            warm = _wire(facade.execute_batch(BatchRequest(queries=queries)))
+            assert warm == _cold_answers(graph, queries, excluded), report.epoch
+        assert {(11,), (49,), (11, 49)} <= set(report.proven_keys)
+
+
 class TestTornEpochs:
     def test_batches_never_mix_epochs(self, tiny_graph):
         """Readers racing apply_events see epoch N or N+1, never both."""

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import obs
 from repro.analysis.pathchanges import session_stats, tor_ratio_samples
 from repro.analysis.exposure import extra_as_samples
 from repro.analysis.stats import Ccdf
 from repro.bgpsim.resets import remove_reset_artifacts
 from repro.bgpsim.trace import TraceConfig, TraceEngine
+from repro.obs import Recorder
+from tests.oracle.trace import ReferenceTraceEngine
 
 
 class TestTraceStructure:
@@ -229,24 +232,73 @@ def _short_engine(scenario, **overrides):
     )
 
 
+def _reference_engine(scenario, **overrides):
+    engine = _short_engine(scenario, **overrides)
+    return ReferenceTraceEngine(
+        engine.graph, engine.prefix_origins, engine.tor_prefixes, engine.config
+    )
+
+
+def assert_same_trace(streamed, materialized):
+    assert streamed.sessions == materialized.sessions
+    assert streamed.duration == materialized.duration
+    assert streamed.session_prefixes == materialized.session_prefixes
+    assert streamed.events == materialized.events
+    for session in streamed.sessions:
+        a = [(r.time, r.prefix, r.as_path, r.from_reset)
+             for r in streamed.streams[session]]
+        b = [(r.time, r.prefix, r.as_path, r.from_reset)
+             for r in materialized.streams[session]]
+        assert a == b
+
+
 class TestStreamingTrace:
     def test_streamed_equals_materialized(self, small_scenario):
-        """The windowed replay path and the legacy materialize-then-sort
-        path must produce bit-identical MonthTraces."""
+        """The windowed replay with its batched look-ahead and the
+        un-batched materialize-then-sort reference must produce
+        bit-identical MonthTraces."""
         streamed = _short_engine(small_scenario).run()
-        with pytest.warns(DeprecationWarning):
-            materialized = _short_engine(small_scenario).run_materialized()
+        materialized = _reference_engine(small_scenario).run_materialized()
+        assert_same_trace(streamed, materialized)
 
-        assert streamed.sessions == materialized.sessions
-        assert streamed.duration == materialized.duration
-        assert streamed.session_prefixes == materialized.session_prefixes
-        assert streamed.events == materialized.events
-        for session in streamed.sessions:
-            a = [(r.time, r.prefix, r.as_path, r.from_reset)
-                 for r in streamed.streams[session]]
-            b = [(r.time, r.prefix, r.as_path, r.from_reset)
-                 for r in materialized.streams[session]]
-            assert a == b
+    def test_evicted_look_ahead_is_recomputed(self, small_scenario):
+        """A cache far smaller than an epoch's look-ahead, under dense core
+        outages: looked-ahead entries are evicted before the replay asks
+        for them and are simply recomputed, record for record."""
+        overrides = dict(
+            route_cache_cap=8, core_outages_per_day=12.0, core_outage_mean_hours=4.0
+        )
+        engine = _short_engine(small_scenario, **overrides)
+        cache = engine._route_cache
+        ahead, rebuilt, state = set(), set(), {"ahead": False}
+        look_ahead, put = engine._look_ahead, cache.put
+
+        def looking_ahead(*args):
+            state["ahead"] = True
+            try:
+                look_ahead(*args)
+            finally:
+                state["ahead"] = False
+
+        def counted_put(key, entry):
+            (ahead if state["ahead"] else rebuilt).add(key)
+            put(key, entry)
+
+        engine._look_ahead, cache.put = looking_ahead, counted_put
+        recorder = Recorder()
+        previous = obs.set_recorder(recorder)
+        try:
+            streamed = engine.run()
+        finally:
+            obs.set_recorder(previous)
+        counters = recorder.snapshot().counters
+        assert sum(e.kind == "core_fail" for e in streamed.events) >= 20
+        assert ahead & rebuilt, "no looked-ahead entry was evicted and rebuilt"
+        assert cache.evictions == counters["trace.route_cache.evictions"]
+        materialized = _reference_engine(
+            small_scenario, **overrides
+        ).run_materialized()
+        assert_same_trace(streamed, materialized)
 
     def test_open_stream_is_one_shot(self, small_scenario):
         stream = _short_engine(small_scenario).open_stream()

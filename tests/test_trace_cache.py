@@ -116,6 +116,87 @@ class TestFilteredCacheSoundness:
         assert engine._canonical_detour({1: (1,)}) is None
 
 
+def _requests(engine, seed, count=12):
+    """Trace-shaped resolve requests, (origin, excluded, local), whose
+    core exclusions include links the origins' paths cross."""
+    rng = random.Random(seed)
+    links = sorted(
+        (frozenset((a, b)) for a, b, _r in engine.graph.links()), key=sorted
+    )
+    used = set()
+    for origin in range(40, 50):
+        used |= engine._paths_for_key(origin, frozenset())[1]
+    core = frozenset(rng.sample(sorted(used, key=sorted), 4) + rng.sample(links, 2))
+    requests = []
+    for _ in range(count):
+        origin = rng.randint(40, 49)
+        local = frozenset(l for l in rng.sample(links, 3) if origin in l)
+        requests.append((origin, core | local, local))
+    return requests
+
+
+def _fixpoint_rounds(engine, requests):
+    """Each request's fixpoint keys, found one :meth:`resolve` at a time."""
+    cache = engine._route_cache
+    chains = []
+    for origin, excluded, local in requests:
+        chain, get = [], cache.get
+
+        def recording_get(key, chain=chain, get=get):
+            chain.append(key)
+            return get(key)
+
+        cache.get = recording_get
+        try:
+            cache.resolve(origin, excluded, local)
+        finally:
+            del cache.get
+        chains.append(chain)
+    return chains
+
+
+class TestResolveMany:
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_agrees_with_resolve_key_for_key(self, seed):
+        _graph, one_by_one = build_engine(seed=3)
+        _graph, batched = build_engine(seed=3)
+        requests = _requests(one_by_one, seed)
+        expected = [one_by_one._route_cache.resolve(*r) for r in requests]
+        assert batched._route_cache.resolve_many(requests) == expected
+
+    def test_one_kernel_call_per_fixpoint_round(self):
+        _graph, reference = build_engine(seed=3)
+        requests = _requests(reference, seed=11, count=20)
+        chains = _fixpoint_rounds(reference, requests)
+        assert max(map(len, chains)) >= 2, "no request needed a second round"
+        seen, expected = set(), []
+        for depth in range(max(map(len, chains))):
+            keys = {chain[depth] for chain in chains if len(chain) > depth}
+            missing = keys - seen
+            seen |= keys
+            if missing:
+                expected.append(missing)
+
+        _graph, engine = build_engine(seed=3)
+        cache, calls = engine._route_cache, []
+        single, many = cache._compute, cache._compute_many
+
+        def counted_single(origin, relevant):
+            calls.append(("single", {(origin, relevant)}))
+            return single(origin, relevant)
+
+        def counted_many(keys):
+            calls.append(("many", set(keys)))
+            return many(keys)
+
+        cache._compute, cache._compute_many = counted_single, counted_many
+        cache.resolve_many(requests)
+        assert [keys for _kind, keys in calls] == expected
+        for kind, keys in calls:
+            assert kind == ("single" if len(keys) == 1 else "many")
+
+
 class TestOneRouteCache:
     def test_run_leaves_the_shared_engine_untouched(self):
         """Route-cache misses run the kernel directly: a whole run adds no
