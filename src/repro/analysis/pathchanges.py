@@ -34,33 +34,31 @@ __all__ = [
 
 def count_path_changes(stream: UpdateStream, prefix: Prefix) -> int:
     """Number of AS-set changes for ``prefix`` on this session."""
-    changes = 0
-    last_set: Optional[FrozenSet[int]] = None
-    for record in stream.records:
-        if record.prefix != prefix or record.is_withdrawal:
-            continue
-        as_set = frozenset(record.as_path or ())
-        if last_set is not None and as_set != last_set:
-            changes += 1
-        last_set = as_set
-    return changes
+    return path_change_table(stream).get(prefix, 0)
 
 
 def path_change_table(stream: UpdateStream) -> Dict[Prefix, int]:
-    """Path-change counts for every prefix on the session, in one pass."""
-    changes: Dict[Prefix, int] = {}
-    last_set: Dict[Prefix, FrozenSet[int]] = {}
-    for record in stream.records:
-        if record.is_withdrawal:
+    """Path-change counts for every prefix on the session, in one pass.
+
+    Reads the stream's columns: one AS-set id per path id, compared as
+    integers, per prefix id.
+    """
+    _times, prefix_ids, path_ids, _resets = stream.columns
+    set_ids = stream.tables.as_set_ids()
+    changes: Dict[int, int] = {}
+    last_set: Dict[int, int] = {}
+    for prefix, path in zip(prefix_ids, path_ids):
+        if not path:  # a withdrawal
             continue
-        as_set = frozenset(record.as_path or ())
-        previous = last_set.get(record.prefix)
-        if previous is not None and previous != as_set:
-            changes[record.prefix] = changes.get(record.prefix, 0) + 1
-        elif record.prefix not in changes:
-            changes.setdefault(record.prefix, 0)
-        last_set[record.prefix] = as_set
-    return changes
+        as_set = set_ids[path]
+        previous = last_set.get(prefix)
+        if previous is None:
+            changes[prefix] = 0
+        elif previous != as_set:
+            changes[prefix] += 1
+        last_set[prefix] = as_set
+    prefixes = stream.tables.prefixes
+    return {prefixes[prefix]: count for prefix, count in changes.items()}
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from repro.bgpsim.collector import (
     Collector,
     CollectorSession,
     IterSource,
+    RecordTables,
     StreamEvent,
     UpdateRecord,
     UpdateSource,
@@ -73,6 +74,7 @@ __all__ = [
     "Collector",
     "CollectorSession",
     "IterSource",
+    "RecordTables",
     "StreamEvent",
     "UpdateRecord",
     "UpdateSource",

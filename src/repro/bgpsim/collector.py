@@ -12,7 +12,10 @@ reset removal) operates on.
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import abc
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Dict,
     FrozenSet,
@@ -31,6 +34,7 @@ from repro.analysis.prefixes import Prefix
 __all__ = [
     "UpdateRecord",
     "UpdateStream",
+    "RecordTables",
     "UpdateSource",
     "IterSource",
     "StreamEvent",
@@ -118,13 +122,101 @@ class IterSource:
         return self._records
 
 
+class RecordTables:
+    """Intern tables that column-stored :class:`UpdateStream`\\ s index into.
+
+    A stream keeps each record's prefix and AS path as an integer id; these
+    tables map the ids back.  Path id 0 is the withdrawal (``None``), and
+    two records carry the same path id exactly when their paths are equal.
+    The streams of one :class:`~repro.bgpsim.trace.MonthTraceBuilder` share
+    one table, as do the streams derived from them (:meth:`UpdateStream.select`,
+    :meth:`UpdateStream.filtered`, ``remove_reset_artifacts``), so a path
+    seen on many sessions is held once.
+    """
+
+    __slots__ = ("prefixes", "paths", "_prefix_ids", "_path_ids", "_set_ids", "_sets")
+
+    def __init__(self) -> None:
+        #: prefix id -> prefix
+        self.prefixes: List[Prefix] = []
+        #: path id -> AS path (``None`` at id 0)
+        self.paths: List[Optional[Tuple[int, ...]]] = [None]
+        self._prefix_ids: Dict[Prefix, int] = {}
+        self._path_ids: Dict[Optional[Tuple[int, ...]], int] = {None: 0}
+        self._set_ids: List[int] = [-1]
+        self._sets: Dict[FrozenSet[int], int] = {}
+
+    def prefix_id(self, prefix: Prefix) -> int:
+        """The id of ``prefix``, interning it on first sight."""
+        pid = self._prefix_ids.get(prefix)
+        if pid is None:
+            pid = self._prefix_ids[prefix] = len(self.prefixes)
+            self.prefixes.append(prefix)
+        return pid
+
+    def path_id(self, path: Optional[Tuple[int, ...]]) -> int:
+        """The id of ``path``, interning it on first sight."""
+        pid = self._path_ids.get(path)
+        if pid is None:
+            pid = self._path_ids[path] = len(self.paths)
+            self.paths.append(path)
+        return pid
+
+    def as_set_ids(self) -> List[int]:
+        """Path id -> id of the path's AS set (-1 for the withdrawal).
+
+        Paths crossing the same ASes (prepending aside) share an id.
+        Extended on each call to cover newly interned paths; read only.
+        """
+        set_ids, sets = self._set_ids, self._sets
+        for path in self.paths[len(set_ids):]:
+            set_ids.append(sets.setdefault(frozenset(path), len(sets)))
+        return set_ids
+
+    def empty_stream(self, session: SessionId) -> "UpdateStream":
+        """A new, empty stream for ``session`` whose ids index these tables."""
+        return UpdateStream._over(session, self)
+
+
 class UpdateStream:
-    """The time-ordered update log of one collector session."""
+    """The time-ordered update log of one collector session.
+
+    Stored column by column: ``array('d')`` times, prefix and path ids into
+    a :class:`RecordTables` (:attr:`tables`), and a ``bytearray`` of
+    ``from_reset`` flags.  :attr:`records` is a read-only sequence view,
+    and it and iteration build :class:`UpdateRecord` values on demand, so a
+    record has no stable identity: records compare by value.
+    """
 
     def __init__(self, session: SessionId, records: Sequence[UpdateRecord] = ()) -> None:
+        self._start(session, RecordTables())
+        for record in sorted(records, key=lambda r: r.time):
+            self._push(record)
+
+    def _start(self, session: SessionId, tables: RecordTables) -> None:
         self.session = session
-        self._records: List[UpdateRecord] = sorted(records, key=lambda r: r.time)
-        self._by_prefix: Optional[Dict[Prefix, List[UpdateRecord]]] = None
+        self.tables = tables
+        self._times = array("d")
+        self._prefix_ids = array("I")
+        self._path_ids = array("I")
+        self._resets = bytearray()
+        # prefix id -> positions of its records, built lazily (streams hold
+        # hundreds of thousands of records; per-prefix scans must not be
+        # linear in all)
+        self._by_prefix: Optional[Dict[int, array]] = None
+
+    @classmethod
+    def _over(
+        cls,
+        session: SessionId,
+        tables: RecordTables,
+        columns: Sequence[Iterable] = (),
+    ) -> "UpdateStream":
+        stream = cls.__new__(cls)
+        stream._start(session, tables)
+        for column, values in zip(stream.columns, columns):
+            column.extend(values)
+        return stream
 
     @property
     def collector(self) -> str:
@@ -136,33 +228,71 @@ class UpdateStream:
 
     @property
     def records(self) -> Sequence[UpdateRecord]:
-        return self._records
+        return _RecordView(self)
+
+    @property
+    def columns(self) -> Tuple[array, array, array, bytearray]:
+        """``(times, prefix_ids, path_ids, resets)``, the live columns.
+
+        Ids index :attr:`tables`; ``resets`` holds each record's
+        ``from_reset`` flag as 0 or 1.  Read only: change a stream through
+        :meth:`append`.
+        """
+        return self._times, self._prefix_ids, self._path_ids, self._resets
+
+    @property
+    def _records(self) -> "_RecordList":
+        # perfbench's corrupted-output test drops a record through this
+        return _RecordList(self)
 
     def append(self, record: UpdateRecord) -> None:
-        if self._records and record.time < self._records[-1].time:
+        times = self._times
+        if times and record.time < times[-1]:
             raise ValueError(
-                f"out-of-order record at {record.time} (stream at {self._records[-1].time})"
+                f"out-of-order record at {record.time} (stream at {times[-1]})"
             )
-        self._records.append(record)
-        if self._by_prefix is not None:
-            self._by_prefix.setdefault(record.prefix, []).append(record)
+        self._push(record)
 
-    def _index(self) -> Dict[Prefix, List[UpdateRecord]]:
-        """Per-prefix record index, built lazily (streams hold hundreds of
-        thousands of records; per-prefix scans must not be linear in all)."""
+    def _push(self, record: UpdateRecord) -> None:
+        tables = self.tables
+        pid = tables.prefix_id(record.prefix)
+        self._times.append(record.time)
+        self._prefix_ids.append(pid)
+        self._path_ids.append(tables.path_id(record.as_path))
+        self._resets.append(record.from_reset)
+        if self._by_prefix is not None:
+            self._by_prefix.setdefault(pid, array("I")).append(len(self._times) - 1)
+
+    def _record(self, i: int) -> UpdateRecord:
+        tables = self.tables
+        return UpdateRecord(
+            self._times[i],
+            tables.prefixes[self._prefix_ids[i]],
+            tables.paths[self._path_ids[i]],
+            self._resets[i] == 1,
+        )
+
+    def _index(self) -> Dict[int, array]:
         if self._by_prefix is None:
-            index: Dict[Prefix, List[UpdateRecord]] = {}
-            for record in self._records:
-                index.setdefault(record.prefix, []).append(record)
+            index: Dict[int, array] = {}
+            for i, pid in enumerate(self._prefix_ids):
+                positions = index.get(pid)
+                if positions is None:
+                    positions = index[pid] = array("I")
+                positions.append(i)
             self._by_prefix = index
         return self._by_prefix
 
+    def _positions(self, prefix: Prefix) -> Iterable[int]:
+        pid = self.tables._prefix_ids.get(prefix)  # no interning on a read
+        return () if pid is None else self._index().get(pid, ())
+
     def prefixes(self) -> FrozenSet[Prefix]:
         """All prefixes that appeared on this session."""
-        return frozenset(self._index())
+        return frozenset(map(self.tables.prefixes.__getitem__, self._index()))
 
     def records_for(self, prefix: Prefix) -> List[UpdateRecord]:
-        return list(self._index().get(prefix, ()))
+        return [self._record(i) for i in self._positions(prefix)]
 
     def path_timeline(self, prefix: Prefix) -> List[Tuple[float, Optional[Tuple[int, ...]]]]:
         """The (time, as_path) transitions for a prefix, duplicates removed.
@@ -170,22 +300,70 @@ class UpdateStream:
         Consecutive records carrying the same AS path (e.g. attribute-only
         churn or table re-dumps) collapse into the first occurrence.
         """
+        times, path_ids, paths = self._times, self._path_ids, self.tables.paths
         timeline: List[Tuple[float, Optional[Tuple[int, ...]]]] = []
-        for record in self._index().get(prefix, ()):
-            if timeline and timeline[-1][1] == record.as_path:
-                continue
-            timeline.append((record.time, record.as_path))
+        last = -1
+        for i in self._positions(prefix):
+            path = path_ids[i]
+            if path != last:
+                timeline.append((times[i], paths[path]))
+                last = path
         return timeline
+
+    def select(self, mask: Sequence[object]) -> "UpdateStream":
+        """A new stream of the records whose ``mask`` entry is true, in
+        order, sharing this stream's :attr:`tables`."""
+        return self._over(
+            self.session, self.tables, [compress(column, mask) for column in self.columns]
+        )
 
     def filtered(self, keep) -> "UpdateStream":
         """A new stream containing only records where ``keep(record)``."""
-        return UpdateStream(self.session, [r for r in self._records if keep(r)])
+        return self.select([keep(r) for r in self])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[UpdateRecord]:
-        return iter(self._records)
+        prefixes, paths = self.tables.prefixes, self.tables.paths
+        for time, pid, path, reset in zip(*self.columns):
+            yield UpdateRecord(time, prefixes[pid], paths[path], reset == 1)
+
+
+class _RecordView(abc.Sequence):
+    """A stream's records as a live, read-only sequence, built on demand."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: UpdateStream) -> None:
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream)
+
+    def __iter__(self) -> Iterator[UpdateRecord]:
+        return iter(self._stream)
+
+    def __getitem__(self, index):
+        positions = range(len(self._stream))[index]
+        if isinstance(positions, range):
+            return [self._stream._record(i) for i in positions]
+        return self._stream._record(positions)
+
+
+class _RecordList(_RecordView):
+    """The record view plus ``pop``, which drops a record from every column."""
+
+    __slots__ = ()
+
+    def pop(self, index: int = -1) -> UpdateRecord:
+        stream = self._stream
+        index = range(len(stream))[index]
+        record = stream._record(index)
+        for column in stream.columns:
+            del column[index]
+        stream._by_prefix = None
+        return record
 
 
 @dataclass

@@ -17,9 +17,8 @@ the current path are removed; genuinely new paths inside the burst are kept
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import UpdateStream
 
 __all__ = ["ResetDetectionConfig", "DetectedReset", "detect_resets", "remove_reset_artifacts"]
@@ -72,71 +71,72 @@ def remove_reset_artifacts(
     """Return a copy of the stream with reset re-announcements removed.
 
     Only *unchanged-path* records inside detected bursts are dropped;
-    genuine changes survive even if they landed inside a transfer.
+    genuine changes survive even if they landed inside a transfer.  The
+    copy shares the stream's intern tables.
     """
     _resets, keep = _scan(stream, config)
-    return UpdateStream(stream.session, [r for i, r in enumerate(stream.records) if keep[i]])
+    return stream.select(keep)
 
 
 def _scan(
     stream: UpdateStream, config: ResetDetectionConfig
-) -> Tuple[List[DetectedReset], List[bool]]:
-    records = stream.records
-    keep = [True] * len(records)
+) -> Tuple[List[DetectedReset], bytearray]:
+    """Detected resets, and a keep flag per record.
+
+    Replays the stream's columns, tracking the last-known path id per
+    prefix id and the growing set of prefixes the session carries.  Only
+    a burst of at least ``min_prefixes`` records can be a table transfer;
+    the records between two such bursts are folded into that state in
+    bulk.
+    """
+    times, prefix_ids, path_ids, _flags = stream.columns
+    keep = bytearray(b"\x01") * len(times)
     resets: List[DetectedReset] = []
-    if not records:
-        return resets, keep
-
-    # Replay the stream, tracking the last-known path per prefix and the
-    # growing set of prefixes the session carries.
-    last_path: Dict[Prefix, Optional[Tuple[int, ...]]] = {}
-    known: set = set()
-
-    bursts = _split_bursts(records, config.burst_gap)
-    for start_idx, end_idx in bursts:
-        burst = records[start_idx:end_idx]
-        burst_prefixes = {r.prefix for r in burst}
-        unchanged_indices: List[int] = []
-        for offset, record in enumerate(burst):
-            prev = last_path.get(record.prefix, _ABSENT)
-            if prev is not _ABSENT and not record.is_withdrawal and prev == record.as_path:
-                unchanged_indices.append(start_idx + offset)
+    last_path: Dict[int, int] = {}
+    known: Set[int] = set()
+    done = 0
+    for start, end in _split_bursts(times, config.burst_gap):
+        if end - start < config.min_prefixes:
+            continue
+        known.update(prefix_ids[done:start])
+        last_path.update(zip(prefix_ids[done:start], path_ids[done:start]))
+        done = end
+        burst_prefixes = prefix_ids[start:end]
+        burst_paths = path_ids[start:end]
+        distinct = set(burst_prefixes)
+        # path id 0 is a withdrawal, which never repeats a path
+        unchanged = [
+            start + k
+            for k, (prefix, path) in enumerate(zip(burst_prefixes, burst_paths))
+            if path and last_path.get(prefix) == path
+        ]
         known_before = len(known)
-        known.update(burst_prefixes)
-        is_transfer = (
-            len(burst) >= config.min_prefixes
-            and known_before > 0
-            and len(burst_prefixes) >= config.min_table_fraction * known_before
-            and len(burst_prefixes) >= config.min_prefixes
-            and len(unchanged_indices) >= config.min_unchanged_fraction * len(burst)
-        )
-        if is_transfer:
+        known.update(distinct)
+        if (
+            known_before > 0
+            and len(distinct) >= config.min_table_fraction * known_before
+            and len(distinct) >= config.min_prefixes
+            and len(unchanged) >= config.min_unchanged_fraction * (end - start)
+        ):
             resets.append(
                 DetectedReset(
-                    start=burst[0].time,
-                    end=burst[-1].time,
-                    num_records=len(burst),
-                    num_unchanged=len(unchanged_indices),
+                    start=times[start],
+                    end=times[end - 1],
+                    num_records=end - start,
+                    num_unchanged=len(unchanged),
                 )
             )
-            for idx in unchanged_indices:
-                keep[idx] = False
+            for i in unchanged:
+                keep[i] = 0
         # State advances regardless: the stream's view of current paths.
-        for record in burst:
-            last_path[record.prefix] = record.as_path
+        last_path.update(zip(burst_prefixes, burst_paths))
     return resets, keep
 
 
-def _split_bursts(records, gap: float) -> List[Tuple[int, int]]:
-    """Split records into maximal runs with inter-arrival <= gap."""
-    bursts: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(records)):
-        if records[i].time - records[i - 1].time > gap:
-            bursts.append((start, i))
-            start = i
-    bursts.append((start, len(records)))
-    return bursts
-
-
-_ABSENT = object()
+def _split_bursts(times: Sequence[float], gap: float) -> List[Tuple[int, int]]:
+    """Split record times into maximal runs with inter-arrival <= gap."""
+    if not times:
+        return []
+    cuts = [i for i in range(1, len(times)) if times[i] - times[i - 1] > gap]
+    bounds = [0, *cuts, len(times)]
+    return list(zip(bounds, bounds[1:]))

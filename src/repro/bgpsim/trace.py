@@ -50,6 +50,7 @@ from repro.asgraph.routecache import RouteCache
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import (
     Collector,
+    RecordTables,
     SessionId,
     StreamEvent,
     UpdateRecord,
@@ -68,8 +69,11 @@ __all__ = [
 
 _DAY = 86_400.0
 _Link = FrozenSet[int]
+_Path = Optional[Tuple[int, ...]]
 #: a route-cache entry: ({vantage: path or None}, links those paths cross)
-_VantageEntry = Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]
+_VantageEntry = Tuple[Dict[int, _Path], FrozenSet[_Link]]
+#: a pending update: (emission time, prefix, as_path, from_reset, session)
+_Pending = Tuple[float, Prefix, _Path, bool, SessionId]
 #: the events that open a new core epoch (they change the core exclusions)
 _CORE_EVENTS = ("core_fail", "core_recover")
 #: most rows per look-ahead kernel call: bounds the batch block's memory
@@ -235,6 +239,14 @@ class TraceEngine:
             if asn not in graph:
                 raise ValueError(f"observer AS{asn} not in topology")
         self._rng = random.Random(config.seed)
+        # one frozenset per graph link, both ways round: every link set the
+        # run builds (route-cache entries and keys, the schedule, detours)
+        # holds these objects rather than copies
+        self._link_of: Dict[int, Dict[int, _Link]] = {}
+        for a, b, _rel in graph.links():
+            link = frozenset((a, b))
+            self._link_of.setdefault(a, {})[b] = link
+            self._link_of.setdefault(b, {})[a] = link
         # the trace's only route cache, relevance-filtered:
         # (origin, relevant_excluded) -> ({vantage: path|None}, links_used)
         self._route_cache: RouteCache[_VantageEntry] = RouteCache(
@@ -360,9 +372,10 @@ class TraceEngine:
         Builds the vantage roster, visibility, the t=0 initial table
         (emitted into ``pending``; its routes are looked ahead over all
         origins at once), and the event schedule.  ``pending`` is any
-        object with ``append((time, record, session))`` — a
-        :class:`_HeapEmitter` for the streaming path, a plain list for the
-        materialized reference — so both consume the RNG identically.
+        object with ``append((time, prefix, as_path, from_reset,
+        session))`` — a :class:`_HeapEmitter` for the streaming path, a
+        plain list for the materialized reference — so both consume the
+        RNG identically.
         """
         rng = self._rng
 
@@ -404,7 +417,7 @@ class TraceEngine:
         prefix_excluded: Dict[Prefix, FrozenSet[_Link]] = {
             p: frozenset() for p in self.prefix_origins
         }
-        current_path: Dict[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]] = {}
+        current_path: Dict[SessionId, Dict[Prefix, _Path]] = {s: {} for s in sessions}
 
         # t=0: initial table (the month's "first path" baseline).
         with obs.span("trace.initial_table"):
@@ -417,10 +430,10 @@ class TraceEngine:
                 self._set_prefix_links(prefix, links)
                 for session in sessions_by_prefix[prefix]:
                     path = paths.get(session[1])
-                    current_path[(session, prefix)] = path
+                    current_path[session][prefix] = path
                     if path is not None:
                         pending.append(
-                            (rng.uniform(0.0, 60.0), UpdateRecord(0.0, prefix, path), session)
+                            (rng.uniform(0.0, 60.0), prefix, path, False, session)
                         )
 
         # Build the event schedule (resets only hit real collector sessions).
@@ -476,29 +489,26 @@ class TraceEngine:
             # Re-advertise the current path with the origin prepended
             # once more: a pure AS-PATH change, no AS-set change.
             for session in self._sessions_by_prefix[prefix]:
-                path = prep.current_path.get((session, prefix))
+                path = prep.current_path[session].get(prefix)
                 if path is not None:
                     pending.append(
                         (
                             time + self._rng.uniform(0.0, 60.0),
-                            UpdateRecord(0.0, prefix, path + (path[-1],)),
+                            prefix,
+                            path + (path[-1],),
+                            False,
                             session,
                         )
                     )
         elif kind == "reset":
             session = detail
             offset = 0.0
+            current = prep.current_path[session]
             for prefix in sorted(prep.session_prefixes[session], key=str):
-                path = prep.current_path.get((session, prefix))
+                path = current.get(prefix)
                 if path is not None:
                     offset += self._rng.uniform(0.01, 0.05)
-                    pending.append(
-                        (
-                            time + offset,
-                            UpdateRecord(0.0, prefix, path, from_reset=True),
-                            session,
-                        )
-                    )
+                    pending.append((time + offset, prefix, path, True, session))
         else:  # pragma: no cover - schedule only emits known kinds
             raise AssertionError(f"unknown event kind {kind}")
 
@@ -587,8 +597,9 @@ class TraceEngine:
         # have customers, neither is provider-free).  Tier-1 adjacencies are
         # excluded: their failure would churn nearly every prefix at once,
         # which RIPE-scale traces do not show at a per-day cadence.
+        link_of = self._link_of
         core_links = [
-            frozenset((a, b))
+            link_of[a][b]
             for a, b, _rel in self.graph.links()
             if self.graph.customers(a)
             and self.graph.customers(b)
@@ -627,6 +638,9 @@ class TraceEngine:
             key=str,
         )
         super_flapper = multihomed_tor[0] if multihomed_tor else None
+        # TE state repeats: one exclusion set per (origin, kept provider),
+        # one schedule detail and ground-truth detail per (prefix, kept)
+        te_exclusions: Dict[Tuple[int, object], FrozenSet[_Link]] = {}
         for prefix, origin in self.prefix_origins.items():
             providers = sorted(self.graph.providers(origin))
             if not providers:
@@ -646,6 +660,7 @@ class TraceEngine:
                 continue
             if len(providers) < 2:
                 continue  # single-homed origin: no TE to do
+            details: Dict[object, Tuple[Tuple, Tuple]] = {}
             while True:
                 t += rng.expovariate(lam)
                 if t >= cfg.duration:
@@ -653,16 +668,21 @@ class TraceEngine:
                 # A TE switch re-homes the announcement: either onto one
                 # provider (others excluded) or back to all providers.
                 if rng.random() < cfg.flap_all_providers_prob:
-                    links: FrozenSet[_Link] = frozenset()
-                    keep = "all"
+                    keep: object = "all"
                 else:
-                    keep_asn = rng.choice(providers)
-                    links = frozenset(
-                        frozenset((origin, p)) for p in providers if p != keep_asn
-                    )
-                    keep = keep_asn
-                schedule.append((t, "te_switch", (prefix, links)))
-                events_gt.append(TraceEvent(t, "te_switch", (str(prefix), keep)))
+                    keep = rng.choice(providers)
+                if keep not in details:
+                    links = te_exclusions.get((origin, keep))
+                    if links is None:
+                        links = te_exclusions[(origin, keep)] = (
+                            frozenset()
+                            if keep == "all"
+                            else frozenset(link_of[origin][p] for p in providers if p != keep)
+                        )
+                    details[keep] = ((prefix, links), (str(prefix), keep))
+                detail, truth = details[keep]
+                schedule.append((t, "te_switch", detail))
+                events_gt.append(TraceEvent(t, "te_switch", truth))
 
         # Prepend churn: TE that changes the AS-PATH but not the AS set.
         if cfg.prepend_events_per_prefix > 0:
@@ -744,12 +764,11 @@ class TraceEngine:
 
     def _vantage_entry(self, outcome: CompactOutcome) -> _VantageEntry:
         paths = {v: outcome.path(v) for v in self._vantages}
-        links: Set[_Link] = set()
-        for path in paths.values():
-            if path:
-                for a, b in zip(path, path[1:]):
-                    links.add(frozenset((a, b)))
-        return paths, frozenset(links)
+        link_of = self._link_of
+        links = frozenset(
+            link_of[a][b] for path in paths.values() if path for a, b in zip(path, path[1:])
+        )
+        return paths, links
 
     def _epoch_reroutes(
         self, prep: "_PreparedRun", start: int
@@ -784,7 +803,7 @@ class TraceEngine:
         self,
         reroutes: Sequence[Tuple[Prefix, FrozenSet[_Link]]],
         excluded_core: FrozenSet[_Link],
-        current_path: Optional[Mapping[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]]],
+        current_path: Optional[Mapping[SessionId, Mapping[Prefix, _Path]]],
     ) -> None:
         """Resolve ahead, in batched kernel runs, the routes ``reroutes`` ask for.
 
@@ -799,27 +818,37 @@ class TraceEngine:
         transient is emitted.  Only the cache changes, and an entry is a
         pure function of its key, so the records cannot move; a
         looked-ahead entry evicted before its use is recomputed.
+
+        One call resolves at most ``route_cache_cap // 2`` keys, the
+        first ones in replay order, so the LRU cannot evict them before
+        the replay reads them; detours come only from what is left of
+        that budget, and only for the reroutes before the first one past
+        it.  The replay computes the rest as it asks for them.
         """
         cache = self._route_cache
         origins = self.prefix_origins
-        keys = list(dict.fromkeys((origins[p], local) for p, local in reroutes))
+        budget = self.config.route_cache_cap // 2
+        keys = list(dict.fromkeys((origins[p], local) for p, local in reroutes))[:budget]
         resolved = cache.resolve_many(
             [(origin, excluded_core | local, local) for origin, local in keys]
         )
         if current_path is None:
             return
         paths_of = {key: entry[0] for key, (entry, _rel) in zip(keys, resolved)}
-        last: Dict[Prefix, Dict[int, Optional[Tuple[int, ...]]]] = {}
+        last: Dict[Prefix, Dict[int, _Path]] = {}
         detours: Dict[Tuple[int, FrozenSet[_Link]], None] = {}
+        room = budget - len(keys)
         for prefix, local in reroutes:
             origin = origins[prefix]
-            paths = paths_of[(origin, local)]
+            paths = paths_of.get((origin, local))
+            if paths is None or len(detours) >= room:
+                break
             before = last.get(prefix)
             last[prefix] = paths
             for session in self._sessions_by_prefix[prefix]:
                 new_path = paths.get(session[1])
                 old_path = (
-                    current_path.get((session, prefix))
+                    current_path[session].get(prefix)
                     if before is None
                     else before.get(session[1])
                 )
@@ -866,8 +895,8 @@ class TraceEngine:
         excluded_core: Set[_Link],
         prefix_excluded: Dict[Prefix, FrozenSet[_Link]],
         session_prefixes: Dict[SessionId, FrozenSet[Prefix]],
-        current_path: Dict[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]],
-        pending: List[Tuple[float, UpdateRecord, SessionId]],
+        current_path: Dict[SessionId, Dict[Prefix, _Path]],
+        pending: List[_Pending],
     ) -> None:
         """Recompute the given prefixes and emit diffs at affected sessions."""
         with obs.span("trace.reroute", kind=kind) as reroute_span:
@@ -888,8 +917,8 @@ class TraceEngine:
         excluded_core: Set[_Link],
         prefix_excluded: Dict[Prefix, FrozenSet[_Link]],
         session_prefixes: Dict[SessionId, FrozenSet[Prefix]],
-        current_path: Dict[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]],
-        pending: List[Tuple[float, UpdateRecord, SessionId]],
+        current_path: Dict[SessionId, Dict[Prefix, _Path]],
+        pending: List[_Pending],
     ) -> None:
         cfg = self.config
         rng = self._rng
@@ -907,12 +936,13 @@ class TraceEngine:
             # cache keys across events; per-event or per-session alternates
             # would be slightly more faithful but multiply the cache key
             # space (and the runtime) by the event and session counts.
-            alt_paths: Optional[Dict[int, Optional[Tuple[int, ...]]]] = None
+            alt_paths: Optional[Dict[int, _Path]] = None
             detour = self._canonical_detour(paths)
             for session in self._sessions_by_prefix[prefix]:
-                key = (session, prefix)
+                current = current_path[session]
+                old_path = current.get(prefix)
                 new_path = paths.get(session[1])
-                if current_path.get(key) == new_path:
+                if old_path == new_path:
                     continue
                 settle = time + rng.uniform(*cfg.settle_delay_range)
                 if (
@@ -926,26 +956,21 @@ class TraceEngine:
                             origin, local | {detour}, excluded | {detour}
                         )
                     alt = alt_paths.get(session[1])
-                    if alt is not None and alt != current_path.get(key) and alt != new_path:
+                    if alt is not None and alt != old_path and alt != new_path:
                         t_transient = time + rng.uniform(*cfg.transient_delay_range)
                         if t_transient < settle:
-                            pending.append(
-                                (t_transient, UpdateRecord(0.0, prefix, alt), session)
-                            )
-                current_path[key] = new_path
-                pending.append((settle, UpdateRecord(0.0, prefix, new_path), session))
+                            pending.append((t_transient, prefix, alt, False, session))
+                current[prefix] = new_path
+                pending.append((settle, prefix, new_path, False, session))
 
-    @staticmethod
-    def _canonical_detour(
-        paths: Dict[int, Optional[Tuple[int, ...]]]
-    ) -> Optional[_Link]:
+    def _canonical_detour(self, paths: Dict[int, _Path]) -> Optional[_Link]:
         """The first link of the lowest-numbered vantage's multi-hop path —
         a deterministic choice of which next hop the exploration transients
         pretend is briefly unavailable."""
         for vantage in sorted(paths):
             path = paths[vantage]
             if path is not None and len(path) > 1:
-                return frozenset((path[0], path[1]))
+                return self._link_of[path[0]][path[1]]
         return None
 
 
@@ -963,7 +988,8 @@ class _PreparedRun:
     events_gt: List[TraceEvent]
     excluded_core: Set[_Link]
     prefix_excluded: Dict[Prefix, FrozenSet[_Link]]
-    current_path: Dict[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]]
+    #: session -> prefix -> the path the session last logged
+    current_path: Dict[SessionId, Dict[Prefix, _Path]]
     #: prefixes each currently-failed core link displaced (filled by
     #: core_fail events, drained by the matching core_recover)
     core_affected: Dict[_Link, Set[Prefix]] = field(default_factory=dict)
@@ -973,24 +999,27 @@ class _HeapEmitter:
     """Min-heap ``pending`` sink that replays records in emission order.
 
     Drop-in for the materialized reference's list: ``append`` takes the same
-    ``(time, record, session)`` tuples, but :meth:`drain` pops everything
-    due strictly before a watermark in ``(time, insertion order)`` order —
-    exactly the order a stable sort of the full list would produce, which
-    is what makes the streaming path bit-identical to the pre-refactor
-    one.  Draining before each schedule event's time is safe because
-    events only emit records at times at or after their own time.
+    ``(time, prefix, as_path, from_reset, session)`` tuples, but
+    :meth:`drain` pops everything due strictly before a watermark in
+    ``(time, insertion order)`` order — exactly the order a stable sort of
+    the full list would produce, which is what makes the streaming path
+    bit-identical to the pre-refactor one.  Draining before each schedule
+    event's time is safe because events only emit records at times at or
+    after their own time.  Heap entries are flat
+    ``(time, seq, prefix, as_path, from_reset, session)`` tuples, so each
+    record is built once, when it is drained.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, UpdateRecord, SessionId]] = []
+        self._heap: List[Tuple[float, int, Prefix, _Path, bool, SessionId]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def append(self, item: Tuple[float, UpdateRecord, SessionId]) -> None:
-        time, record, session = item
-        heapq.heappush(self._heap, (time, self._seq, record, session))
+    def append(self, item: _Pending) -> None:
+        time, prefix, path, from_reset, session = item
+        heapq.heappush(self._heap, (time, self._seq, prefix, path, from_reset, session))
         self._seq += 1
 
     def drain(
@@ -1001,13 +1030,9 @@ class _HeapEmitter:
         duration — the streaming equivalent of the final sort+filter."""
         heap = self._heap
         while heap and (before is None or heap[0][0] < before):
-            emit_time, _seq, record, session = heapq.heappop(heap)
-            if emit_time > duration:
-                continue
-            yield StreamEvent(
-                session,
-                UpdateRecord(emit_time, record.prefix, record.as_path, record.from_reset),
-            )
+            emit_time, _seq, prefix, path, from_reset, session = heapq.heappop(heap)
+            if emit_time <= duration:
+                yield StreamEvent(session, UpdateRecord(emit_time, prefix, path, from_reset))
 
 
 class TraceStream:
@@ -1078,8 +1103,9 @@ class MonthTraceBuilder:
 
     def __init__(self, stream: TraceStream) -> None:
         self._stream = stream
+        tables = RecordTables()  # every session's paths and prefixes, once
         self._streams: Dict[SessionId, UpdateStream] = {
-            s: UpdateStream(s) for s in stream.sessions
+            s: tables.empty_stream(s) for s in stream.sessions
         }
 
     def consume(self, window) -> None:

@@ -12,8 +12,9 @@ record for record.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import SessionId, UpdateRecord, UpdateStream
 from repro.bgpsim.trace import MonthTrace, TraceEngine
 
@@ -29,7 +30,7 @@ class ReferenceTraceEngine(TraceEngine):
     def run_materialized(self) -> MonthTrace:
         """The whole trace: every record collected, sorted, then split by session."""
         cfg = self.config
-        pending: List[Tuple[float, UpdateRecord, SessionId]] = []
+        pending: List[Tuple[float, Prefix, Optional[Tuple[int, ...]], bool, SessionId]] = []
         prep = self._prepare(pending)
         for time, kind, detail in prep.schedule:
             self._apply_event(time, kind, detail, prep, pending)
@@ -38,14 +39,10 @@ class ReferenceTraceEngine(TraceEngine):
             s: UpdateStream(s) for s in prep.sessions
         }
         pending.sort(key=lambda item: item[0])
-        for emit_time, record, session in pending:
+        for emit_time, prefix, path, from_reset, session in pending:
             if emit_time > cfg.duration:
                 continue
-            streams[session].append(
-                UpdateRecord(
-                    emit_time, record.prefix, record.as_path, record.from_reset
-                )
-            )
+            streams[session].append(UpdateRecord(emit_time, prefix, path, from_reset))
         return MonthTrace(
             streams=streams,
             collectors=prep.collectors,

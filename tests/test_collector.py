@@ -1,5 +1,7 @@
 """Tests for collector streams and the reset-artefact pipeline."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.prefixes import Prefix
@@ -208,15 +210,22 @@ class TestResetDetection:
 
     def test_trace_ground_truth_scoring(self, small_trace):
         """On the full synthetic trace, the detector must remove most
-        reset artefacts while keeping nearly all genuine records."""
+        reset artefacts while keeping nearly all genuine records.
+
+        Records are values built on demand, so kept records are matched by
+        value: a multiset of ``(time, prefix, as_path, from_reset)``."""
         trace, _observers = small_trace
         removed_reset = kept_reset = removed_genuine = kept_genuine = 0
         for session in trace.collector_sessions:
             stream = trace.streams[session]
             cleaned = remove_reset_artifacts(stream)
-            kept_ids = {id(r) for r in cleaned}
+            survivors = Counter(
+                (r.time, r.prefix, r.as_path, r.from_reset) for r in cleaned
+            )
             for record in stream:
-                kept = id(record) in kept_ids
+                key = (record.time, record.prefix, record.as_path, record.from_reset)
+                kept = survivors[key] > 0
+                survivors[key] -= kept
                 if record.from_reset:
                     kept_reset += kept
                     removed_reset += not kept

@@ -300,6 +300,35 @@ class TestStreamingTrace:
         ).run_materialized()
         assert_same_trace(streamed, materialized)
 
+    @pytest.mark.parametrize("cap", [8, 64])
+    def test_look_ahead_stays_within_the_route_cache(self, small_scenario, monkeypatch, cap):
+        """A look-ahead bounded by the cache leaves the streamed run with
+        at most 15% more kernel rows than the un-batched reference, which
+        computes each route when the replay asks for it."""
+        import repro.bgpsim.trace as trace_module
+
+        rows = [0]
+        fast, many = trace_module.compute_routes_fast, trace_module.compute_routes_many
+
+        def counted_fast(*args, **kwargs):
+            rows[0] += 1
+            return fast(*args, **kwargs)
+
+        def counted_many(graph, origins, **kwargs):
+            rows[0] += len(origins)
+            return many(graph, origins, **kwargs)
+
+        monkeypatch.setattr(trace_module, "compute_routes_fast", counted_fast)
+        monkeypatch.setattr(trace_module, "compute_routes_many", counted_many)
+        overrides = dict(
+            route_cache_cap=cap, core_outages_per_day=12.0, core_outage_mean_hours=4.0
+        )
+        streamed = _short_engine(small_scenario, **overrides).run()
+        streamed_rows, rows[0] = rows[0], 0
+        materialized = _reference_engine(small_scenario, **overrides).run_materialized()
+        assert_same_trace(streamed, materialized)
+        assert streamed_rows <= 1.15 * rows[0], (streamed_rows, rows[0])
+
     def test_open_stream_is_one_shot(self, small_scenario):
         stream = _short_engine(small_scenario).open_stream()
         assert sum(1 for _ in stream) > 0

@@ -265,6 +265,47 @@ class TestTraceIntegration:
         # and a link nothing routes over resolves to the empty set
         assert engine._prefixes_using_link(frozenset((999998, 999999))) == set()
 
+    def test_every_link_is_the_engine_s_one_object(self):
+        """Route-cache keys and entries, the per-prefix link sets and the
+        schedule hold the engine's one frozenset per graph link, and a TE
+        switch's detail is one object per (prefix, kept provider)."""
+        graph, prefixes, tor = _trace_world()
+        cfg = TraceConfig(
+            duration_days=3.0, seed=9, sessions_per_collector=3,
+            collector_names=("rrc00",), core_outages_per_day=6.0,
+        )
+        engine = TraceEngine(graph, prefixes, tor, cfg)
+        engine.run()
+
+        def assert_canonical(owner, links):
+            for link in links:
+                a, b = link
+                assert link is owner._link_of[a][b], link
+
+        entries = engine._route_cache._entries
+        assert entries
+        for (_origin, relevant), (_paths, links) in entries.items():
+            assert_canonical(engine, relevant)
+            assert_canonical(engine, links)
+        assert any(relevant for _origin, relevant in entries)
+        for links in engine._prefix_links.values():
+            assert_canonical(engine, links)
+        assert_canonical(engine, engine._link_prefixes)
+
+        fresh = TraceEngine(graph, prefixes, tor, cfg)
+        schedule = fresh._prepare([]).schedule
+        details = {}
+        kinds = set()
+        for _time, kind, detail in schedule:
+            kinds.add(kind)
+            if kind in ("core_fail", "core_recover"):
+                assert_canonical(fresh, [detail])
+            elif kind == "te_switch":
+                assert_canonical(fresh, detail[1])
+                assert details.setdefault(detail, detail) is detail
+        assert {"core_fail", "te_switch"} <= kinds
+        assert len(details) < sum(kind == "te_switch" for _t, kind, _d in schedule)
+
     def test_cache_cap_validation(self):
         with pytest.raises(ValueError):
             TraceConfig(route_cache_cap=0)
