@@ -33,6 +33,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_kernel.py --smoke    # CI gate
+
+A full sweep writes ``results/BENCH_kernel.json`` unless ``--out`` says
+otherwise; a ``--smoke`` run leaves ``results/`` alone and writes its
+document only to an explicit ``--out``.
 """
 
 from __future__ import annotations
@@ -287,7 +291,11 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument(
+        "--out",
+        help="where to write the JSON document; a full run defaults to "
+             "results/, a --smoke run writes only to an explicit --out",
+    )
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -299,11 +307,15 @@ def main(argv=None) -> int:
     repeats = 1 if args.smoke else args.repeats
     document = run_suite(sizes, repeats, args.seed)
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.smoke else DEFAULT_OUT)
+    if out is None:
+        print("smoke run: no document written (pass --out to keep one)")
+    else:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     for entry in document["speedups"]:
         print(

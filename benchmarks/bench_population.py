@@ -21,6 +21,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_population.py          # full
     PYTHONPATH=src python benchmarks/bench_population.py --smoke  # CI gate
+
+A full run writes ``results/BENCH_population.json`` unless ``--out``
+says otherwise; a ``--smoke`` run leaves ``results/`` alone and writes
+its document only to an explicit ``--out``.
 """
 
 from __future__ import annotations
@@ -289,7 +293,11 @@ def run_suite(smoke: bool, seed: int) -> Dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument(
+        "--out",
+        help="where to write the JSON document; a full run defaults to "
+             "results/, a --smoke run writes only to an explicit --out",
+    )
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -300,11 +308,15 @@ def main(argv=None) -> int:
 
     document = run_suite(args.smoke, args.seed)
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.smoke else DEFAULT_OUT)
+    if out is None:
+        print("smoke run: no document written (pass --out to keep one)")
+    else:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if not document["equivalent"]:
         print("POPULATION KERNEL DIVERGENCE DETECTED:", file=sys.stderr)

@@ -458,7 +458,7 @@ def main(argv=None) -> int:
 
     document = run_suite(args)
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")

@@ -14,7 +14,7 @@ what drives the compromise probability ``1 - (1 - f)^(l*x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import SessionId, UpdateStream
@@ -23,6 +23,10 @@ __all__ = ["ExposureConfig", "PrefixExposure", "prefix_exposure", "extra_as_samp
 
 #: the paper's dwell threshold: ASes on-path for less than this are ignored
 DEFAULT_DWELL_THRESHOLD = 300.0
+
+
+#: ``UpdateStream.path_timeline`` output: (time, path or None when withdrawn)
+_Timeline = List[Tuple[float, Optional[Tuple[int, ...]]]]
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,11 @@ def as_dwell_times(
     path extends to ``horizon`` (the end of the measurement window).
     Withdrawn periods contribute to no AS.
     """
-    timeline = stream.path_timeline(prefix)
+    return _dwell_times(stream.path_timeline(prefix), horizon)
+
+
+def _dwell_times(timeline: _Timeline, horizon: float) -> Dict[int, float]:
+    """:func:`as_dwell_times` over an already built path timeline."""
     dwell: Dict[int, float] = {}
     for (start, path), (end, _next) in zip(timeline, timeline[1:] + [(horizon, None)]):
         if path is None:
@@ -86,7 +94,7 @@ def as_dwell_times(
 
 
 def _interval_qualified(
-    stream: UpdateStream, prefix: Prefix, horizon: float, threshold: float
+    timeline: _Timeline, horizon: float, threshold: float
 ) -> Set[int]:
     """ASes with at least one single continuous on-path interval >= threshold.
 
@@ -96,7 +104,6 @@ def _interval_qualified(
     mirroring the ``max(0.0, min(end, horizon) - start)`` accounting of
     :func:`as_dwell_times`.
     """
-    timeline = stream.path_timeline(prefix)
     current_since: Dict[int, float] = {}
     qualified: Set[int] = set()
     previous: FrozenSet[int] = frozenset()
@@ -129,10 +136,10 @@ def prefix_exposure(
     baseline = frozenset(first_path)
 
     if config.mode == "total":
-        dwell = as_dwell_times(stream, prefix, horizon)
+        dwell = _dwell_times(timeline, horizon)
         qualified = {asn for asn, t in dwell.items() if t >= config.dwell_threshold}
     else:
-        qualified = _interval_qualified(stream, prefix, horizon, config.dwell_threshold)
+        qualified = _interval_qualified(timeline, horizon, config.dwell_threshold)
 
     ever: Set[int] = set()
     for _t, path in timeline:

@@ -66,6 +66,13 @@ class Prefix:
         mask = self.mask
         if self.network & ~mask & _ALL_ONES:
             object.__setattr__(self, "network", self.network & mask)
+        # Prefixes key the month trace's busiest dicts and sets, so the hash
+        # is computed once.  It is the dataclass's own value: set iteration
+        # order, which feeds the trace's random draws, stays as it was.
+        object.__setattr__(self, "_hash", hash((self.network, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":

@@ -19,13 +19,17 @@ Three ideas carry the whole kernel:
   segments are routed once per run through
   :meth:`SurveillanceModel.exposure_table` (one batched
   ``outcomes_many`` pass over the distinct endpoint ASes) and every
-  circuit resolves against the boolean tables by fancy-indexing.
+  circuit resolves against the flattened boolean tables with one
+  ``take`` each.
 - **Counter-based randomness.**  Every draw is a pure function of
   ``(seed, user, day, circuit, stream)`` through a SplitMix64-style
   finalizer, evaluated over numpy arrays of user indices.  Results are
   therefore bit-for-bit independent of the block size and of how blocks
   shard over :mod:`repro.runner` workers, and equal to the per-user
-  pure-python reference in ``tests/oracle/population.py``.
+  pure-python reference in ``tests/oracle/population.py``.  Weighted
+  draws go through a bucket table (:class:`_Sampler`) that picks exactly
+  the entry ``np.searchsorted`` (and the reference's ``bisect_right``)
+  would, at a fraction of the cost.
 
 Sharding streams: each user block returns only a
 :class:`PopulationAggregate` (histograms and counts); aggregates merge
@@ -117,13 +121,17 @@ def _draws_vector(base: int, users):
     with C semantics (the 64-bit mask of the lattice); ``z >> 11`` fits in
     53 bits so the float64 conversion is exact.
     """
-    z = np.uint64(base) + users * np.uint64(_MULT_USER)
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = users * np.uint64(_MULT_USER)
+    z += np.uint64(base)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def _cumulative(weights: Sequence[float]) -> Tuple[float, ...]:
@@ -142,6 +150,44 @@ def _cumulative(weights: Sequence[float]) -> Tuple[float, ...]:
         acc += weight
         out.append(acc / total)
     return tuple(out)
+
+
+#: Bucket tables split [0, 1) into this many equal buckets.  A power of
+#: two, so ``u * _BUCKETS`` and ``k / _BUCKETS`` are exact in float64.
+_BUCKETS = 1 << 14
+
+
+class _Sampler:
+    """Inverse-CDF draws through a bucket table, exact to the bit.
+
+    ``draw(u)`` is ``values[min(searchsorted(cum, u, side="right"),
+    len(cum) - 1)]``.  Bucket ``b`` covers ``[b / _BUCKETS, (b + 1) /
+    _BUCKETS)``; when no CDF value falls inside it, every draw there has
+    the same answer, which the int32 table holds.  Draws in the few
+    buckets that hold a CDF value (-1 in the table) fall back to
+    ``np.searchsorted``.  An alias table would be faster still but maps
+    draws to other entries, so every result would move.
+    """
+
+    __slots__ = ("cum", "values", "table")
+
+    def __init__(self, cum: Sequence[float], values) -> None:
+        self.cum = np.asarray(cum, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.int64)
+        grid = np.arange(_BUCKETS + 1, dtype=np.float64) / _BUCKETS
+        edges = np.searchsorted(self.cum, grid, side="right")
+        table = self.values[np.minimum(edges[:-1], self.cum.size - 1)]
+        table[edges[:-1] != edges[1:]] = -1
+        self.table = table.astype(np.int32)
+
+    def draw(self, u):
+        """The picked value for each uniform in ``u`` (int32)."""
+        picked = self.table[(u * _BUCKETS).astype(np.intp)]
+        split = np.flatnonzero(picked < 0)
+        if split.size:
+            index = np.searchsorted(self.cum, u[split], side="right")
+            picked[split] = self.values[np.minimum(index, self.cum.size - 1)]
+        return picked
 
 
 # --------------------------------------------------------------------------
@@ -555,64 +601,56 @@ def _tables_for(ctx: _PopulationContext) -> _ExposureTables:
     return tables
 
 
+def _day_samplers(
+    mix: DayMix, num_guard_ases: int
+) -> Tuple[_Sampler, _Sampler, np.ndarray]:
+    """One day mix's guard and exit samplers and its live-guard mask."""
+    alive = np.zeros(num_guard_ases, dtype=bool)
+    alive[list(mix.guard_reg)] = True
+    return (
+        _Sampler(mix.guard_cum, mix.guard_reg),
+        _Sampler(mix.exit_cum, mix.exit_reg),
+        alive,
+    )
+
+
 def _simulate_block(
     ctx: _PopulationContext, tables: _ExposureTables, start: int, end: int
 ) -> _BlockResult:
     days, per_day, num_guards = ctx.days, ctx.circuits_per_day, ctx.num_guards
     seed, rotation = ctx.draw_seed, ctx.rotation_days
     num_dests = len(ctx.destination_asns)
+    num_guard_ases = len(ctx.guard_registry)
     n = end - start
     users = np.arange(start, end, dtype=np.uint64)
     rows = np.arange(n)
-    entry, exit_table = tables.entry, tables.exit
+    entry, exit_table = tables.entry.ravel(), tables.exit.ravel()
 
     if ctx.client_index is not None:
         clients = np.asarray(ctx.client_index[start:end], dtype=np.int64)
     else:
-        cum = np.asarray(ctx.client_cum, dtype=np.float64)
-        pick = np.asarray(ctx.client_pick, dtype=np.int64)
         u = _draws_vector(_draw_base(seed, 0, 0, _STREAM_CLIENT), users)
-        index = np.minimum(
-            np.searchsorted(cum, u, side="right"), cum.size - 1
-        )
-        clients = pick[index]
+        clients = _Sampler(ctx.client_cum, ctx.client_pick).draw(u)
+    # Each user's row offset into the flattened entry table.
+    entry_rows = clients.astype(np.int64) * num_guard_ases
 
-    # Per-day sampling tables as arrays, converted once per distinct mix.
-    mix_arrays: Dict[int, tuple] = {}
-
-    def arrays_for(mix: DayMix) -> tuple:
-        got = mix_arrays.get(id(mix))
-        if got is None:
-            alive = np.zeros(len(ctx.guard_registry), dtype=bool)
-            alive[list(mix.guard_reg)] = True
-            got = (
-                np.asarray(mix.guard_reg, dtype=np.int64),
-                np.asarray(mix.guard_cum, dtype=np.float64),
-                np.asarray(mix.exit_reg, dtype=np.int64),
-                np.asarray(mix.exit_cum, dtype=np.float64),
-                alive,
-            )
-            mix_arrays[id(mix)] = got
-        return got
-
-    guard_reg0, guard_cum0, _, _, _ = arrays_for(ctx.day_mixes[0])
+    # Samplers for one day mix at a time: under churn every day has its own.
+    mix = ctx.day_mixes[0]
+    guards, exits, alive = _day_samplers(mix, num_guard_ases)
     slots = np.empty((num_guards, n), dtype=np.int64)
     expiry = np.empty((num_guards, n), dtype=np.float64)
     for s in range(num_guards):
         u = _draws_vector(_draw_base(seed, 0, s, _STREAM_GUARD), users)
-        index = np.minimum(
-            np.searchsorted(guard_cum0, u, side="right"), guard_cum0.size - 1
-        )
-        slots[s] = guard_reg0[index]
+        slots[s] = guards.draw(u)
         u = _draws_vector(_draw_base(seed, 0, s, _STREAM_LIFETIME), users)
         expiry[s] = rotation * (1.0 + u)
 
     hits = np.zeros(n, dtype=np.int64)
     first = np.zeros(n, dtype=np.int64)
     for day in range(1, days + 1):
-        guard_reg, guard_cum, exit_reg, exit_cum, alive = arrays_for(
-            ctx.day_mixes[day - 1]
-        )
+        if ctx.day_mixes[day - 1] is not mix:
+            mix = ctx.day_mixes[day - 1]
+            guards, exits, alive = _day_samplers(mix, num_guard_ases)
         now = float(day - 1)
         for s in range(num_guards):
             stale = (expiry[s] <= now) | ~alive[slots[s]]
@@ -621,31 +659,29 @@ def _simulate_block(
                 u = _draws_vector(
                     _draw_base(seed, day, s, _STREAM_GUARD), stale_users
                 )
-                index = np.minimum(
-                    np.searchsorted(guard_cum, u, side="right"),
-                    guard_cum.size - 1,
-                )
-                slots[s][stale] = guard_reg[index]
+                slots[s][stale] = guards.draw(u)
                 u = _draws_vector(
                     _draw_base(seed, day, s, _STREAM_LIFETIME), stale_users
                 )
                 expiry[s][stale] = now + rotation * (1.0 + u)
+        # Guard slots only change between days, so each slot's entry
+        # verdict is read once a day; slot s of user i sits at s * n + i.
+        slot_hits = entry.take(entry_rows + slots).ravel()
+        day_hit = np.zeros(n, dtype=bool)
         for c in range(per_day):
             u = _draws_vector(_draw_base(seed, day, c, _STREAM_SLOT), users)
-            pick = np.minimum(
-                (u * num_guards).astype(np.int64), num_guards - 1
-            )
-            guard_idx = slots[pick, rows]
+            pick = np.minimum((u * num_guards).astype(np.int64), num_guards - 1)
+            pick *= n
+            pick += rows
             u = _draws_vector(_draw_base(seed, day, c, _STREAM_EXIT), users)
-            index = np.minimum(
-                np.searchsorted(exit_cum, u, side="right"), exit_cum.size - 1
-            )
-            exit_idx = exit_reg[index]
+            exit_row = exits.draw(u) * np.int64(num_dests)
             u = _draws_vector(_draw_base(seed, day, c, _STREAM_DEST), users)
             dest = np.minimum((u * num_dests).astype(np.int64), num_dests - 1)
-            compromised = entry[clients, guard_idx] & exit_table[exit_idx, dest]
+            dest += exit_row
+            compromised = slot_hits.take(pick) & exit_table.take(dest)
             hits += compromised
-            first = np.where((first == 0) & compromised, day, first)
+            day_hit |= compromised
+        first[day_hit & (first == 0)] = day
 
     first_hist = np.bincount(first, minlength=days + 1)
     count_hist = np.bincount(hits, minlength=days * per_day + 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asgraph.engine import RoutingEngine, shared_engine
 from repro.asgraph.fastpath import CompactOutcome
@@ -126,7 +126,9 @@ class SurveillanceModel:
         is fetched exactly once, so cost scales with distinct endpoint
         ASes plus cells — never with the user population sitting behind
         them.  This is the dedup step population-scale simulation leans
-        on: millions of users collapse onto one small table.
+        on: millions of users collapse onto one small table.  A cell tests
+        the adversaries against each path tuple it needs, so it builds no
+        sets: the same verdict :meth:`segment_view` gives.
         """
         adversary_set = set(adversaries)
         left = list(left_ases)
@@ -135,20 +137,18 @@ class SurveillanceModel:
         outcomes = {
             asn: self._outcome(asn) for asn in dict.fromkeys(left + right)
         }
-        cells: Dict[Tuple[int, int], bool] = {}
+        forward = mode is not ObservationMode.REVERSE
+        reverse = mode is not ObservationMode.FORWARD
+        disjoint = adversary_set.isdisjoint
         table: List[List[bool]] = []
         for a in left:
+            to_a = outcomes[a]
             row: List[bool] = []
             for b in right:
-                hit = cells.get((a, b))
-                if hit is None:
-                    view = SegmentView(
-                        forward=frozenset(outcomes[b].path(a) or (a, b)),
-                        reverse=frozenset(outcomes[a].path(b) or (b, a)),
-                    )
-                    hit = bool(adversary_set & view.observers(mode))
-                    cells[(a, b)] = hit
-                row.append(hit)
+                row.append(
+                    (forward and not disjoint(outcomes[b].path(a) or (a, b)))
+                    or (reverse and not disjoint(to_a.path(b) or (b, a)))
+                )
             table.append(row)
         return table
 

@@ -13,7 +13,8 @@ Each part is built on first use, so a consensus that is only weighted
 (a day of the population simulator's series) never parses an address or
 reads a family:
 
-- per-position weights, ``array('d')`` in consensus order;
+- per-position weights, ``array('d')`` in consensus order, with the
+  position factor computed once per distinct flag set;
 - the relays eligible for each position (positive weight);
 - each relay's /16, parsed once, grouped by network;
 - fingerprint -> relay index, and fingerprint -> indices of the relays
@@ -28,10 +29,10 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.tor.consensus import Consensus, Position
-from repro.tor.relay import Relay
+from repro.tor.relay import Flag, Relay
 
 __all__ = ["RelayIndex", "relay_index"]
 
@@ -59,13 +60,26 @@ class RelayIndex:
     def weights(self, position: str) -> array:
         """Every relay's selection weight for ``position``, in consensus
         order: exactly :meth:`Consensus.position_weight`, 0.0 for a relay
-        that is not running."""
+        that is not running.
+
+        The position factor depends on the flags alone, so it is computed
+        once per distinct flag set; each weight is then ``bandwidth *
+        factor``, the product :meth:`BandwidthWeights.relay_weight` forms.
+        """
         weights = self._weights.get(position)
         if weights is None:
             if position not in _POSITIONS:
                 raise ValueError(f"unknown position {position!r}")
-            relay_weight = self._bandwidth_weights.relay_weight
-            weights = array("d", [relay_weight(r, position) for r in self.relays])
+            factor_of = self._bandwidth_weights.weight
+            factors: Dict[FrozenSet[Flag], float] = {}
+            values = []
+            for relay in self.relays:
+                factor = factors.get(relay.flags)
+                if factor is None:
+                    factor = factor_of(relay, position) if relay.is_running else 0.0
+                    factors[relay.flags] = factor
+                values.append(relay.bandwidth * factor)
+            weights = array("d", values)
             self._weights[position] = weights
         return weights
 

@@ -175,6 +175,28 @@ class TestPrefixExposure:
         assert samples == [1]
 
 
+class TestOneTimelinePerPrefix:
+    @pytest.mark.parametrize("mode", ["total", "interval"])
+    def test_prefix_exposure_builds_each_timeline_once(self, mode, monkeypatch):
+        calls = []
+        build = UpdateStream.path_timeline
+
+        def counted(self, prefix):
+            calls.append((self.session, prefix))
+            return build(self, prefix)
+
+        monkeypatch.setattr(UpdateStream, "path_timeline", counted)
+        s = stream(
+            (0, P, (42, 7, 1)),
+            (1, Q, (42, 5, 2)),
+            (2 * HOUR, P, (42, 8, 1)),
+            (3 * HOUR, Q, (42, 6, 2)),
+        )
+        samples = extra_as_samples([s], frozenset({P, Q}), 5 * HOUR, ExposureConfig(mode=mode))
+        assert samples == [1, 1]
+        assert sorted(calls) == sorted([(SESSION, P), (SESSION, Q)])
+
+
 class TestHorizonClamping:
     """Regression: dwell past the measurement horizon must contribute
     nothing, in both accounting modes (the §4 window is the month)."""

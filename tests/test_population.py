@@ -7,15 +7,20 @@ in with ``loop_tier()``), across block sizes, and against the
 first-compromise days included, not just aggregates.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.population import (
+    _BUCKETS,
     PopulationAggregate,
     PopulationReport,
     UserOutcome,
+    _cumulative,
     _draws_vector,
+    _Sampler,
     simulate_population,
 )
 from repro.core.surveillance import ObservationMode, SurveillanceModel
@@ -120,6 +125,57 @@ class TestBackendEquivalence:
         """The uint64 lattice wraps exactly like the masked scalar one."""
         got = _draws_vector(base, np.asarray(users, dtype=np.uint64))
         assert got.tolist() == [draw(base, user) for user in users]
+
+
+class TestBucketSampler:
+    """The bucket table picks exactly what a binary search over the CDF
+    picks, at every draw where the two could part: bucket edges, CDF
+    values and their float neighbours."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0)),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda ws: any(w > 0.0 for w in ws))
+    )
+    # many CDF values inside one bucket, then a tail of zero weights
+    @example(weights=[1.0] + [1e-9] * 30 + [0.0, 0.0])
+    @example(weights=[1e-12, 1.0, 1e-12, 0.0, 1e-12])
+    @example(weights=[0.0, 1.0])
+    def test_draws_equal_searchsorted_and_bisect(self, weights):
+        cum = _cumulative(weights)
+        values = np.arange(len(cum), dtype=np.int64) * 7 + 3
+        sampler = _Sampler(cum, values)
+        assert sampler.table.dtype == np.int32 and sampler.table.size == _BUCKETS
+        # a bucket falls back to the search only when a CDF value is inside
+        assert np.count_nonzero(sampler.table < 0) <= len(set(cum))
+
+        points = np.asarray(cum)
+        u = np.concatenate(
+            [
+                np.arange(_BUCKETS, dtype=np.float64) / _BUCKETS,
+                points,
+                np.nextafter(points, -np.inf),
+                np.nextafter(points, np.inf),
+                [0.0, 1.0 - 2.0**-53],
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        last = len(cum) - 1
+        want = values[np.minimum(np.searchsorted(cum, u, side="right"), last)]
+        got = sampler.draw(u)
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == [
+            int(values[min(bisect_right(cum, x), last)]) for x in u.tolist()
+        ]
+
+    def test_draws_past_the_last_cdf_value_take_the_last_entry(self):
+        """A CDF ending below 1 (``_cumulative``'s always ends at 1.0)."""
+        sampler = _Sampler((0.3, 0.6, 0.7), (10, 11, 12))
+        u = np.array([0.0, 0.3, 0.65, 0.7, np.nextafter(0.7, 1.0), 0.9, 1.0 - 2.0**-53])
+        assert sampler.draw(u).tolist() == [10, 11, 12, 12, 12, 12, 12]
 
 
 class TestScenarioKnobs:

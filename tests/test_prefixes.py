@@ -1,5 +1,7 @@
 """Unit tests for IPv4 prefixes and the longest-prefix-match trie."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,39 @@ class TestPrefix:
     def test_ordering_is_total(self):
         prefixes = [Prefix.parse(s) for s in ("10.0.0.0/8", "9.0.0.0/8", "10.0.0.0/16")]
         assert sorted(prefixes) == sorted(prefixes, key=lambda p: (p.network, p.length))
+
+
+class TestPrefixHash:
+    """The hash is computed once but keeps the dataclass's value, so sets
+    of prefixes iterate in the same order as before."""
+
+    @given(
+        network=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=0, max_value=32),
+    )
+    def test_hash_is_the_field_tuple_hash(self, network, length):
+        prefix = Prefix(network, length)
+        assert hash(prefix) == hash((prefix.network, prefix.length))
+
+    def test_hash_follows_normalisation(self):
+        prefix = Prefix(parse_ip("10.1.2.3"), 16)
+        assert prefix == Prefix.parse("10.1.0.0/16")
+        assert hash(prefix) == hash(Prefix.parse("10.1.0.0/16"))
+        assert hash(prefix) == hash((parse_ip("10.1.0.0"), 16))
+
+    def test_equality_and_ordering_read_the_fields_only(self):
+        a, b = Prefix.parse("10.0.0.0/8"), Prefix.parse("10.0.0.0/16")
+        assert a == Prefix.parse("10.0.0.0/8") and a != b
+        assert a < b and sorted([b, a]) == [a, b]
+        assert len({a, b, Prefix.parse("10.0.0.0/8")}) == 2
+
+    def test_pickle_round_trip(self):
+        prefixes = [Prefix.parse("78.46.0.0/15"), Prefix.parse("0.0.0.0/0")]
+        for prefix in prefixes:
+            back = pickle.loads(pickle.dumps(prefix))
+            assert back == prefix and hash(back) == hash(prefix)
+            assert back.network == prefix.network and back.length == prefix.length
+        assert pickle.loads(pickle.dumps(set(prefixes))) == set(prefixes)
 
 
 class TestPrefixTrie:

@@ -12,6 +12,7 @@ day's consensus.
 
 import gc
 import random
+from array import array
 import weakref
 from contextlib import nullcontext
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tor.churn import ChurnConfig, evolve_consensus
 from repro.tor.consensus import BandwidthWeights, Consensus, Position
 from repro.tor.exitpolicy import ExitPolicy
 from repro.tor.index import relay_index
@@ -249,6 +251,18 @@ class TestRelayIndex:
         index = relay_index(self.consensus())
         assert index.weights(Position.GUARD)[3] == 0.0
         assert index.eligible(Position.GUARD) == (0,)
+
+    def test_churn_series_weights_equal_position_weight(self, small_scenario):
+        """Churned days reuse their relays' flag objects, so the per-flag-set
+        factors are shared keys; every weight still equals the relay's own."""
+        series = evolve_consensus(small_scenario.consensus, 4, ChurnConfig(seed=2))
+        relays = [r for consensus in series for r in consensus.relays]
+        assert len({id(r.flags) for r in relays}) < len(relays)
+        for consensus in series:
+            index = relay_index(consensus)
+            for position in POSITIONS:
+                want = array("d", [consensus.position_weight(r, position) for r in consensus.relays])
+                assert index.weights(position).tobytes() == want.tobytes()
 
     def test_weighting_builds_no_address_or_family_lookups(self):
         index = relay_index(self.consensus())

@@ -53,6 +53,33 @@ class TestSegmentView:
         assert view.observers(ObservationMode.EITHER) == view.either
 
 
+class TestExposureTable:
+    def test_matches_segment_view_with_repeats_and_unrouted_ases(self):
+        """Repeated ASes on both sides, an asymmetric pair (10 -> 20 runs
+        via peer 3, 20 -> 10 via peer 1), a pair with no valley-free route
+        (1, 3) and an AS with no links (99): the unrouted cells fall back to
+        the bare ``(a, b)`` segment."""
+        graph = ASGraph()
+        graph.add_provider_link(customer=10, provider=1)
+        graph.add_peer_link(10, 3)
+        graph.add_provider_link(customer=20, provider=3)
+        graph.add_peer_link(20, 1)
+        graph.add_as(99)
+        model = SurveillanceModel(graph)
+        assert model.path(10, 20) == (10, 3, 20) and model.path(20, 10) == (20, 1, 10)
+        assert model.path(1, 3) is None and model.path(99, 20) is None
+        left = [10, 99, 20, 10, 1]
+        right = [20, 99, 3, 20, 10]
+        for adversaries in ({3}, {1}, {99}, {10}, {1, 3}, {7}):
+            for mode in ObservationMode:
+                table = model.exposure_table(adversaries, left, right, mode)
+                assert table == [
+                    [bool(adversaries & model.segment_view(a, b).observers(mode)) for b in right]
+                    for a in left
+                ]
+                assert all(type(cell) is bool for row in table for cell in row)
+
+
 class TestCircuitCompromise:
     @pytest.fixture(scope="class")
     def world(self):
