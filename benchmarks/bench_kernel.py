@@ -42,7 +42,6 @@ document only to an explicit ``--out``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -62,14 +61,10 @@ from repro.asgraph import (  # noqa: E402
 from repro.asgraph.index import graph_index  # noqa: E402
 from repro.serve.api import PathBatch  # noqa: E402
 from tests.oracle.routing import compute_routes  # noqa: E402
+from _report import write_document  # noqa: E402
 
 SCHEMA_VERSION = 3
 DEFAULT_SIZES = [500, 1500, 4000]
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "results",
-    "BENCH_kernel.json",
-)
 KERNELS: Dict[str, Callable] = {"oracle": compute_routes, "fast": compute_routes_fast}
 
 
@@ -307,15 +302,7 @@ def main(argv=None) -> int:
     repeats = 1 if args.smoke else args.repeats
     document = run_suite(sizes, repeats, args.seed)
 
-    out = args.out or (None if args.smoke else DEFAULT_OUT)
-    if out is None:
-        print("smoke run: no document written (pass --out to keep one)")
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out}")
+    write_document(document, "BENCH_kernel.json", args.out, args.smoke)
 
     for entry in document["speedups"]:
         print(

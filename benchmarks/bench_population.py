@@ -4,8 +4,7 @@
 Races the struct-of-arrays population kernel
 (:mod:`repro.core.population`) against the per-user pure-python
 reference in ``tests/oracle/population.py``, gates bit-for-bit
-equivalence with that reference across shardings and for the
-``simulate_user_population`` wrapper, and records the headline
+equivalence with that reference across shardings, and records the headline
 population-scale number: 1M users x a month of relay churn end-to-end on
 one machine, with throughput in user-days/sec (see
 ``docs/benchmarks.md`` for the schema).
@@ -30,7 +29,6 @@ its document only to an explicit ``--out``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -40,18 +38,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.core.population import simulate_population  # noqa: E402
-from repro.core.usermetrics import simulate_user_population  # noqa: E402
 from repro.scenario import Scenario, ScenarioConfig  # noqa: E402
 from repro.tor.churn import ChurnConfig, evolve_consensus  # noqa: E402
 from repro.tor.clientdist import ClientASDistribution  # noqa: E402
 from tests.oracle.population import loop_tier  # noqa: E402
+from _report import write_document  # noqa: E402
 
 SCHEMA_VERSION = 2
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "results",
-    "BENCH_population.json",
-)
 RACE_USERS = 50_000
 SCALE_USERS = 1_000_000
 SCALE_DAYS = 30
@@ -131,6 +124,13 @@ def _check_equivalence(scenario, client_pool, dests, adversaries, days, seed) ->
                 block_size=77, **kwargs
             ),
         ),
+        (
+            "single-block vector run",
+            _simulate(
+                scenario, scenario.consensus, roster, dests, adversaries,
+                **kwargs
+            ),
+        ),
     ):
         if report.outcomes != reference.outcomes:
             defects.append(
@@ -142,16 +142,6 @@ def _check_equivalence(scenario, client_pool, dests, adversaries, days, seed) ->
                 f"{label}'s aggregate percentiles diverge from the per-user "
                 "reference"
             )
-    wrapper = simulate_user_population(
-        scenario.graph, scenario.consensus, scenario.relay_asn,
-        roster, dests, adversaries,
-        days=days, circuits_per_day=6, seed=seed, engine=scenario.engine,
-    )
-    if wrapper.outcomes != reference.outcomes:
-        defects.append(
-            "simulate_user_population wrapper diverges from the per-user "
-            "reference"
-        )
     dist = ClientASDistribution.zipf(client_pool, exponent=1.0)
     skew_kwargs = dict(kwargs, num_users=EQUIV_USERS)
     skew_reference = _simulate_reference(
@@ -308,15 +298,7 @@ def main(argv=None) -> int:
 
     document = run_suite(args.smoke, args.seed)
 
-    out = args.out or (None if args.smoke else DEFAULT_OUT)
-    if out is None:
-        print("smoke run: no document written (pass --out to keep one)")
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out}")
+    write_document(document, "BENCH_population.json", args.out, args.smoke)
 
     if not document["equivalent"]:
         print("POPULATION KERNEL DIVERGENCE DETECTED:", file=sys.stderr)

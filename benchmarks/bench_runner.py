@@ -19,12 +19,15 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_runner.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_runner.py --smoke    # CI gate
+
+A full run writes ``results/BENCH_runner.json`` unless ``--out`` says
+otherwise; a ``--smoke`` run leaves it alone and writes its document only
+to an explicit ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -36,14 +39,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro.asgraph import RoutingEngine, TopologyConfig, generate_topology  # noqa: E402
 from repro.core.resilience import resilience_spec  # noqa: E402
 from repro.runner import run_experiment  # noqa: E402
+from _report import write_document  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_JOBS = [1, 2, 4]
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "results",
-    "BENCH_runner.json",
-)
 SPEEDUP_TARGET = 2.5
 SPEEDUP_AT_JOBS = 4
 
@@ -170,7 +169,11 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, nargs="+", default=DEFAULT_JOBS)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument(
+        "--out",
+        help="where to write the JSON document; a full run defaults to "
+             "results/, a --smoke run writes only to an explicit --out",
+    )
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -192,11 +195,7 @@ def main(argv=None) -> int:
         num_ases, num_origins, num_attackers, jobs_values, repeats, args.seed
     )
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    write_document(document, "BENCH_runner.json", args.out, args.smoke)
 
     for entry in document["speedups"]:
         print(f"speedup jobs={entry['jobs']} {entry['speedup']:.2f}x")

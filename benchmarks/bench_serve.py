@@ -25,13 +25,16 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py           # full sweep
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke   # CI gate
+
+A full run writes ``results/BENCH_serve.json`` unless ``--out`` says
+otherwise; a ``--smoke`` run leaves it alone and writes its document only
+to an explicit ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import random
 import sys
@@ -53,13 +56,9 @@ from repro.serve.api import (  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.daemon import RoutingDaemon, ServeConfig  # noqa: E402
 from repro.serve.facade import QueryFacade  # noqa: E402
+from _report import write_document  # noqa: E402
 
 SCHEMA_VERSION = 3
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "results",
-    "BENCH_serve.json",
-)
 
 
 class DaemonHandle:
@@ -505,7 +504,11 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16])
     parser.add_argument("--requests-per-client", type=int, default=50)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument(
+        "--out",
+        help="where to write the JSON document; a full run defaults to "
+             "results/, a --smoke run writes only to an explicit --out",
+    )
     parser.add_argument(
         "--churn-ases", type=int, default=4000,
         help="world size for the churn workload (the n=4000 gate)",
@@ -534,11 +537,7 @@ def main(argv=None) -> int:
         churn_ases, churn_queries, args.batch_size, churn_epochs, args.seed
     )
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    write_document(document, "BENCH_serve.json", args.out, args.smoke)
 
     failed = False
     if not document["bit_identical"]:

@@ -25,15 +25,20 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_stream.py           # full sweep
     PYTHONPATH=src python benchmarks/bench_stream.py --smoke   # CI gate
+
+A full run writes ``results/BENCH_stream.json`` unless ``--out`` says
+otherwise, and ``results/E15_rfd.txt`` whatever ``--out`` says; a
+``--smoke`` run leaves ``results/`` alone and writes its document only to
+an explicit ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional
 
@@ -45,14 +50,9 @@ from repro.bgpsim.stream import DAY, replay  # noqa: E402
 from repro.scenario import Scenario, ScenarioConfig  # noqa: E402
 from tests.oracle.trace import ReferenceTraceEngine  # noqa: E402
 
-from _report import report  # noqa: E402
+from _report import report, write_document  # noqa: E402
 
 SCHEMA_VERSION = 1
-DEFAULT_OUT = os.path.join(
-    ROOT,
-    "results",
-    "BENCH_stream.json",
-)
 
 
 def _scenario(
@@ -396,16 +396,13 @@ def run_suite(args) -> Dict:
     )
 
     print("resume equivalence (checkpointed replay)...")
-    ckpt = os.path.join(
-        os.path.dirname(os.path.abspath(args.out)), ".bench_stream.ckpt"
-    )
-    try:
+    with tempfile.TemporaryDirectory() as tmpdir:
         resume = resume_equivalence(
-            args.seed, resume_days, interrupt_after=2, checkpoint=ckpt
+            args.seed,
+            resume_days,
+            interrupt_after=2,
+            checkpoint=os.path.join(tmpdir, "bench_stream.ckpt"),
         )
-    finally:
-        if os.path.exists(ckpt):
-            os.remove(ckpt)
     print(
         f"  resumed past {resume['resumed_windows']} windows, replayed "
         f"{resume['replayed_windows']}: "
@@ -448,7 +445,11 @@ def run_suite(args) -> Dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument(
+        "--out",
+        help="where to write the JSON document; a full run defaults to "
+             "results/, a --smoke run writes only to an explicit --out",
+    )
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -458,11 +459,7 @@ def main(argv=None) -> int:
 
     document = run_suite(args)
 
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    write_document(document, "BENCH_stream.json", args.out, args.smoke)
 
     defects = (
         document["month_equivalence"]["defects"]

@@ -12,8 +12,8 @@ TCP-ACK side channel in user terms.
 import pytest
 
 from benchmarks._report import report
+from repro.core.population import simulate_population
 from repro.core.surveillance import ObservationMode
-from repro.core.usermetrics import simulate_user_population
 
 DAYS = 31
 CIRCUITS_PER_DAY = 6
@@ -25,7 +25,7 @@ def test_e13_time_to_first_compromise(benchmark, paper_scenario):
     adversaries = {0, paper_scenario.adversary_as()}  # tier-1 + transit colluding
 
     def run():
-        either = simulate_user_population(
+        either = simulate_population(
             paper_scenario.graph,
             paper_scenario.consensus,
             paper_scenario.relay_asn,
@@ -36,8 +36,9 @@ def test_e13_time_to_first_compromise(benchmark, paper_scenario):
             circuits_per_day=CIRCUITS_PER_DAY,
             mode=ObservationMode.EITHER,
             seed=1,
+            keep_outcomes=True,
         )
-        forward = simulate_user_population(
+        forward = simulate_population(
             paper_scenario.graph,
             paper_scenario.consensus,
             paper_scenario.relay_asn,
@@ -48,6 +49,7 @@ def test_e13_time_to_first_compromise(benchmark, paper_scenario):
             circuits_per_day=CIRCUITS_PER_DAY,
             mode=ObservationMode.FORWARD,
             seed=1,
+            keep_outcomes=True,
         )
         return either, forward
 

@@ -3,7 +3,7 @@
 from repro.asgraph.relationships import Relationship, RouteKind
 from repro.asgraph.topology import ASGraph
 from repro.asgraph.generator import TopologyConfig, generate_topology
-from repro.asgraph.routing import Route, RoutingOutcome, as_path
+from repro.asgraph.routing import Route, as_path
 from repro.asgraph.index import GraphIndex, graph_index
 from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
 from repro.asgraph.batch import BatchOutcome, compute_routes_many
@@ -30,7 +30,6 @@ __all__ = [
     "TopologyConfig",
     "generate_topology",
     "Route",
-    "RoutingOutcome",
     "as_path",
     "GraphIndex",
     "graph_index",

@@ -32,8 +32,8 @@ endpoints, and only a marked frontier cell pays a lookup, which names
 the exact candidate to drop, so the shared adjacency arrays are never
 rebuilt.  The result is a
 :class:`BatchOutcome` whose per-origin views are zero-copy
-:class:`~repro.asgraph.fastpath.CompactOutcome` rows, so everything
-downstream of the existing ``RoutingOutcome`` API runs unchanged.
+:class:`~repro.asgraph.fastpath.CompactOutcome` rows, so every outcome
+reader runs on them unchanged.
 Every row equals its own :func:`compute_routes_fast` run bit for bit,
 which ``tests/test_batch.py`` and ``benchmarks/bench_kernel.py`` pin
 against the path-tuple reference kernel in ``tests/oracle/routing.py``.
@@ -194,7 +194,7 @@ class BatchOutcome:
         return self._specs[row]
 
     def outcome(self, row: int) -> CompactOutcome:
-        """Row ``row`` as a ``RoutingOutcome``-compatible view."""
+        """Row ``row`` as a :class:`~repro.asgraph.fastpath.CompactOutcome` view."""
         view = self._views.get(row)
         if view is not None:
             return view

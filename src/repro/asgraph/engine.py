@@ -16,12 +16,11 @@ ablation replays the same scenario with one knob changed.  The
   target ASes answers the narrower query, because the staged computation
   finalises every target exactly;
 - **batching** — :meth:`paths_many` groups (src, dst) path queries by
-  destination, computes one :class:`~repro.asgraph.fastpath.CompactOutcome`
-  per origin with a merged target set, and can fan destinations out across
-  a ``concurrent.futures`` process pool;
+  destination and computes one
+  :class:`~repro.asgraph.fastpath.CompactOutcome` per origin with a merged
+  target set;
 - **instrumentation** — hit/miss/eviction counters and per-stage kernel
-  timings, surfaced through :meth:`stats` (and ``repro.cli
-  --engine-stats``).
+  timings, surfaced through :meth:`stats` (and ``repro --obs-summary``).
 
 Underneath sit the flat-array kernel
 (:func:`~repro.asgraph.fastpath.compute_routes_fast`) and its multi-origin
@@ -56,7 +55,6 @@ from typing import (
 
 from repro.asgraph.batch import compute_routes_many
 from repro.asgraph.fastpath import CompactOutcome, compute_routes_fast
-from repro.asgraph.index import graph_index
 from repro.asgraph.routing import _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
@@ -93,9 +91,8 @@ class EngineStats:
     compute_seconds: float
     #: kernel seconds per propagation stage ("customer"/"peer"/"provider")
     stage_seconds: Mapping[str, float]
-    #: paths_many calls, and how many of them used the process pool
+    #: outcomes_many and paths_many calls
     batches: int
-    parallel_batches: int
 
     @property
     def hit_rate(self) -> float:
@@ -110,7 +107,7 @@ class EngineStats:
             f"({self.hit_rate:.1%}), {self.misses} misses, "
             f"{self.evictions} evictions, {self.entries} cached outcomes; "
             f"kernel {self.compute_seconds:.3f}s [{stages}]; "
-            f"{self.batches} batches ({self.parallel_batches} parallel)"
+            f"{self.batches} batches"
         )
 
 
@@ -135,7 +132,6 @@ class RoutingEngine:
         self._compute_seconds = 0.0
         self._stage_seconds: Dict[str, float] = {}
         self._batches = 0
-        self._parallel_batches = 0
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -407,58 +403,35 @@ class RoutingEngine:
     def paths_many(self, graph: ASGraph, batch: "PathBatch") -> "PathBatchResult":
         """Batch path queries through one grouped kernel pass.
 
-        Takes a :class:`~repro.serve.api.PathBatch` (queries plus the
-        process-pool fan-out knobs) and returns a
+        Takes a :class:`~repro.serve.api.PathBatch` and returns a
         :class:`~repro.serve.api.PathBatchResult` — per-query
-        :class:`~repro.serve.api.PathResult` rows, input order preserved,
-        with ``.mapping()`` for the ``{(src, dst): path}`` view.
+        :class:`~repro.serve.api.PathResult` rows, input order preserved
+        (duplicates included), with ``.mapping()`` for the
+        ``{(src, dst): path}`` view.
 
         Queries are grouped by destination — one kernel run per origin with
         the merged source set as its early-exit targets — and answered from
-        (and stored into) the cache.  With ``batch.workers`` set, destinations
-        that miss the cache are chunked and fanned out across a
-        ``ProcessPoolExecutor``; the inputs are plain picklable values and
-        the returned outcomes are folded back into the cache, so a parallel
-        batch warms the cache exactly like a serial one.
+        (and stored into) the cache.  The destinations that miss are
+        computed together in ascending order, so cache-store order does not
+        depend on the order of the queries.
         """
         from repro.serve.api import PathBatchResult, PathResult
 
-        mapping = self._paths_many_pairs(
-            graph,
-            [(q.src, q.dst) for q in batch.queries],
-            workers=batch.workers,
-            chunk_size=batch.chunk_size,
-        )
-        return PathBatchResult(
-            results=tuple(
-                PathResult(src=q.src, dst=q.dst, path=mapping[(q.src, q.dst)])
-                for q in batch.queries
-            )
-        )
-
-    def _paths_many_pairs(
-        self,
-        graph: ASGraph,
-        pairs: Iterable[Tuple[int, int]],
-        workers: Optional[int] = None,
-        chunk_size: int = 8,
-    ) -> Dict[Tuple[int, int], Optional[Tuple[int, ...]]]:
         by_dst: Dict[int, set] = {}
-        order: List[Tuple[int, int]] = []
-        for src, dst in pairs:
-            by_dst.setdefault(dst, set()).add(src)
-            order.append((src, dst))
-        with self._lock:
-            self._batches += 1
-
+        for q in batch.queries:
+            by_dst.setdefault(q.dst, set()).add(q.src)
+        fp = self.fingerprint(graph)
+        keys = {
+            dst: self._base_key(fp, {dst: (dst,)}, frozenset(), {})
+            for dst in by_dst
+        }
         outcomes: Dict[int, CompactOutcome] = {}
         misses: List[int] = []
-        fp = self.fingerprint(graph)
-        for dst, srcs in by_dst.items():
-            key = self._base_key(fp, {dst: (dst,)}, frozenset(), {})
-            with self._lock:
+        with self._lock:
+            self._batches += 1
+            for dst, srcs in by_dst.items():
                 self._queries += 1
-                cached = self._lookup(key, frozenset(srcs))
+                cached = self._lookup(keys[dst], frozenset(srcs))
                 if cached is not None:
                     self._hits += 1
                     outcomes[dst] = cached
@@ -466,52 +439,14 @@ class RoutingEngine:
                     self._misses += 1
                     misses.append(dst)
 
-        if workers is not None and workers > 1 and len(misses) > 1:
-            with self._lock:
-                self._parallel_batches += 1
-            jobs = [
-                (dst, tuple(sorted(by_dst[dst]))) for dst in sorted(misses)
-            ]
-            chunks = [
-                jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)
-            ]
-            from concurrent.futures import ProcessPoolExecutor
-
-            # The graph ships to each worker exactly once, via the pool
-            # initializer (not re-pickled per chunk); workers compile their
-            # GraphIndex once and reuse it across chunks.
-            shared_index = graph_index(graph)
-            started = time.perf_counter()
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_pool_worker,
-                initargs=(graph,),
-            ) as pool:
-                for chunk_result in pool.map(_compute_chunk, chunks):
-                    for dst, targets, outcome, timings in chunk_result:
-                        # Drop the worker's unpickled index copy in favour
-                        # of the parent's shared snapshot.
-                        outcome.rebind_index(shared_index)
-                        outcomes[dst] = outcome
-                        key = self._base_key(fp, {dst: (dst,)}, frozenset(), {})
-                        with self._lock:
-                            # Workers ship their kernel stage timings home
-                            # so --engine-stats breakdowns cover parallel
-                            # batches too, not just the wall-clock total.
-                            self._merge_stage_seconds(timings)
-                            self._store(key, frozenset(targets), outcome)
-            with self._lock:
-                self._compute_seconds += time.perf_counter() - started
-        elif misses:
-            # Sorted like the parallel branch, so cache-store order and
-            # obs span/counter streams are stable across ``workers``.
-            miss_order = sorted(misses)
-            tgt_list = [frozenset(by_dst[dst]) for dst in miss_order]
+        if misses:
+            misses.sort()
+            tgt_list = [frozenset(by_dst[dst]) for dst in misses]
             timings: Dict[str, float] = {}
             started = time.perf_counter()
             outs = self._compute_many_raw(
                 graph,
-                [{dst: (dst,)} for dst in miss_order],
+                [{dst: (dst,)} for dst in misses],
                 frozenset(),
                 {},
                 tgt_list,
@@ -521,14 +456,16 @@ class RoutingEngine:
             with self._lock:
                 self._compute_seconds += elapsed
                 self._merge_stage_seconds(timings)
-                for dst, tgts, outcome in zip(miss_order, tgt_list, outs):
-                    key = self._base_key(fp, {dst: (dst,)}, frozenset(), {})
-                    self._store(key, tgts, outcome)
-            outcomes.update(zip(miss_order, outs))
+                for dst, tgts, outcome in zip(misses, tgt_list, outs):
+                    self._store(keys[dst], tgts, outcome)
+            outcomes.update(zip(misses, outs))
 
-        # ``order`` replays the caller's pairs (duplicates included) so the
-        # result dict is built in input order regardless of batching.
-        return {(src, dst): outcomes[dst].path(src) for src, dst in order}
+        return PathBatchResult(
+            results=tuple(
+                PathResult(src=q.src, dst=q.dst, path=outcomes[q.dst].path(q.src))
+                for q in batch.queries
+            )
+        )
 
     # -- instrumentation -----------------------------------------------------
 
@@ -543,37 +480,7 @@ class RoutingEngine:
                 compute_seconds=self._compute_seconds,
                 stage_seconds=dict(self._stage_seconds),
                 batches=self._batches,
-                parallel_batches=self._parallel_batches,
             )
-
-
-#: Per-worker state installed by the pool initializer: the one graph this
-#: pool routes over.
-_worker_graph: Optional[ASGraph] = None
-
-
-def _init_pool_worker(graph: ASGraph) -> None:
-    """Pool initializer: receive the graph once and pre-compile its index."""
-    global _worker_graph
-    _worker_graph = graph
-    graph_index(graph)  # compile once; every chunk in this worker reuses it
-
-
-def _compute_chunk(
-    chunk: Sequence[Tuple[int, Tuple[int, ...]]]
-) -> List[Tuple[int, Tuple[int, ...], CompactOutcome, Dict[str, float]]]:
-    """Process-pool worker: compute one chunk of per-destination outcomes,
-    each paired with its kernel stage timings for the parent to merge."""
-    graph = _worker_graph
-    assert graph is not None, "_init_pool_worker did not run"
-    results = []
-    for dst, targets in chunk:
-        timings: Dict[str, float] = {}
-        outcome = compute_routes_fast(
-            graph, (dst,), targets=frozenset(targets), stage_timings=timings
-        )
-        results.append((dst, targets, outcome, timings))
-    return results
 
 
 _shared_lock = threading.Lock()

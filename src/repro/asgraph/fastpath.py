@@ -57,12 +57,13 @@ _PROVIDER = int(RouteKind.PROVIDER)
 class CompactOutcome:
     """Routing outcome stored as parent-pointer arrays, materialised lazily.
 
-    Exposes the :class:`~repro.asgraph.routing.RoutingOutcome` API
-    (``path``/``route``/``reachable_ases``/``capture_set``/
-    ``capture_set_via``/``ases_on_path``/``items``/``len``) so engine
-    callers run unchanged.  A cached entry costs O(V) ints instead of
-    O(V · avg-path-length) tuples; paths are rebuilt (and then memoised) by
-    walking the predecessor chain only for the ASes a caller asks about.
+    Every routing caller reads outcomes through this API (``path``/
+    ``route``/``reachable_ases``/``capture_set``/``capture_set_via``/
+    ``ases_on_path``/``items``/``len``), the same one the path-tuple
+    reference kernel in ``tests/oracle/routing.py`` answers with.  A cached
+    entry costs O(V) ints instead of O(V · avg-path-length) tuples; paths
+    are rebuilt (and then memoised) by walking the predecessor chain only
+    for the ASes a caller asks about.
     """
 
     __slots__ = (
@@ -100,7 +101,7 @@ class CompactOutcome:
         self._paths: Dict[int, Tuple[int, ...]] = {}
         self._reachable: Optional[FrozenSet[int]] = None
 
-    # -- RoutingOutcome API --------------------------------------------------
+    # -- outcome API ----------------------------------------------------------
 
     @property
     def origins(self) -> Tuple[int, ...]:
@@ -262,17 +263,6 @@ class CompactOutcome:
             self._origins,
             self._num_routed,
         )
-
-    def rebind_index(self, gi: GraphIndex) -> None:
-        """Swap in an equivalent :class:`GraphIndex` (same topology).
-
-        Used when outcomes computed in worker processes are folded back
-        into the parent's cache: every outcome then shares the parent's
-        single index snapshot instead of carrying its own unpickled copy.
-        """
-        if gi.n != self._gi.n or gi.asns != self._gi.asns:
-            raise ValueError("rebind_index requires an index over the same ASes")
-        self._gi = gi
 
 
 def compute_routes_fast(

@@ -85,10 +85,6 @@ class GraphIndex:
             start[i + 1] = pos
         return start, adj
 
-    def num_edges(self) -> int:
-        """Directed adjacency entries across all three relationship classes."""
-        return len(self.prov_adj) + len(self.cust_adj) + len(self.peer_adj)
-
     # Picklable by default (plain slots of dict/list/array values); workers
     # receive a self-contained snapshot with no reference to the source graph.
 

@@ -1,4 +1,4 @@
-"""Route and outcome types of Gao-Rexford routing over an :class:`~repro.asgraph.ASGraph`.
+"""The route type of Gao-Rexford routing over an :class:`~repro.asgraph.ASGraph`.
 
 A routing outcome holds, for every AS, its best policy-compliant route
 towards a prefix announced by one or more origin ASes.  Multiple origins
@@ -8,32 +8,24 @@ announcement it prefers — the set of ASes that pick the attacker is the
 *capture set*.
 
 The computation itself is :func:`repro.asgraph.fastpath.compute_routes_fast`
-(and its multi-origin batch, :func:`repro.asgraph.batch.compute_routes_many`):
+(and its multi-origin batch, :func:`repro.asgraph.batch.compute_routes_many`),
+whose outcomes are :class:`~repro.asgraph.fastpath.CompactOutcome` objects:
 customer routes climb provider links from the origins, peer routes cross
 one peering hop, provider routes descend customer links; within a stage,
 ties go to the shorter AS path and then to the lowest next-hop AS number.
-This module keeps the types every kernel answers with and the
-announcement normalisation they share.
+This module keeps the :class:`Route` every outcome hands out and the
+announcement normalisation the kernels share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.asgraph.relationships import RouteKind
 from repro.asgraph.topology import ASGraph
 
-__all__ = ["Route", "RoutingOutcome", "as_path"]
+__all__ = ["Route", "as_path"]
 
 
 @dataclass(frozen=True)
@@ -59,65 +51,6 @@ class Route:
 
     def __len__(self) -> int:
         return len(self.path)
-
-
-class RoutingOutcome:
-    """The routes every AS selected for one announced prefix."""
-
-    def __init__(self, routes: Dict[int, Route], origins: Tuple[int, ...]) -> None:
-        self._routes = routes
-        self._origins = origins
-
-    @property
-    def origins(self) -> Tuple[int, ...]:
-        return self._origins
-
-    def route(self, asn: int) -> Optional[Route]:
-        return self._routes.get(asn)
-
-    def path(self, asn: int) -> Optional[Tuple[int, ...]]:
-        """AS path from ``asn`` to the prefix (inclusive), or None."""
-        route = self._routes.get(asn)
-        return route.path if route is not None else None
-
-    def reachable_ases(self) -> FrozenSet[int]:
-        return frozenset(self._routes)
-
-    def capture_set(self, origin: int) -> FrozenSet[int]:
-        """ASes whose selected route terminates at ``origin``.
-
-        With a victim and an attacker both announcing, this is the set of
-        ASes the attacker attracts (the hijack's blast radius).  Origins
-        themselves are included (they route to themselves).
-
-        For *forged-origin* announcements (an attacker announcing
-        ``(attacker, victim)``) the path terminates at the victim, so use
-        :meth:`capture_set_via` with the attacker's ASN instead.
-        """
-        return frozenset(asn for asn, route in self._routes.items() if route.origin == origin)
-
-    def capture_set_via(self, announcer: int) -> FrozenSet[int]:
-        """ASes whose selected path crosses ``announcer``.
-
-        When ``announcer`` originated a (possibly forged) announcement for
-        this prefix, every selected path containing it was attracted by
-        that announcement — its actual traffic lands at the announcer
-        regardless of the AS numbers it prepended.
-        """
-        return frozenset(
-            asn for asn, route in self._routes.items() if announcer in route.path
-        )
-
-    def ases_on_path(self, asn: int) -> FrozenSet[int]:
-        """All ASes traversed from ``asn`` to the prefix, endpoints included."""
-        path = self.path(asn)
-        return frozenset(path) if path is not None else frozenset()
-
-    def items(self) -> Iterable[Tuple[int, Route]]:
-        return self._routes.items()
-
-    def __len__(self) -> int:
-        return len(self._routes)
 
 
 _OriginsArg = Union[Iterable[int], Mapping[int, Sequence[int]]]

@@ -63,9 +63,6 @@ class Announcement:
             communities=self.communities,
         )
 
-    def with_communities(self, communities: FrozenSet[Community]) -> "Announcement":
-        return Announcement(self.prefix, self.as_path, frozenset(communities))
-
 
 @dataclass(frozen=True)
 class Withdrawal:

@@ -123,9 +123,6 @@ class BGPNode:
         del self._originated[prefix]
         return self._reselect(prefix)
 
-    def originates(self, prefix: Prefix) -> bool:
-        return prefix in self._originated
-
     # -- update processing -----------------------------------------------------
 
     def receive(self, message: UpdateMessage) -> Outbox:

@@ -313,8 +313,8 @@ def _cmd_rov(args: argparse.Namespace) -> RovResult:
 
 
 def _cmd_users(args: argparse.Namespace) -> UsersResult:
+    from repro.core.population import simulate_population
     from repro.core.surveillance import ObservationMode
-    from repro.core.usermetrics import simulate_user_population
 
     scenario = _build_scenario(args)
     clients = scenario.client_ases(args.clients)
@@ -322,7 +322,7 @@ def _cmd_users(args: argparse.Namespace) -> UsersResult:
     adversaries = {0, scenario.adversary_as()}
     print(f"simulating {len(clients)} users x {args.days} days "
           f"vs colluding ASes {sorted(adversaries)}...", file=sys.stderr)
-    report = simulate_user_population(
+    report = simulate_population(
         scenario.graph,
         scenario.consensus,
         scenario.relay_asn,
@@ -331,6 +331,7 @@ def _cmd_users(args: argparse.Namespace) -> UsersResult:
         adversaries,
         days=args.days,
         mode=ObservationMode.EITHER,
+        keep_outcomes=True,
         engine=scenario.engine,
         jobs=args.jobs,
         checkpoint=args.checkpoint,

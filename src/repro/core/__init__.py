@@ -38,7 +38,6 @@ from repro.core.countermeasures import (
     MonitorConfig,
     dynamics_aware_filter,
     short_path_guard_weights,
-    short_path_guard_weights_from_graph,
 )
 from repro.core.convergence import ConvergenceExposure, measure_convergence_exposure
 from repro.core.secure_selection import (
@@ -58,7 +57,6 @@ from repro.core.population import (
     UserOutcome,
     simulate_population,
 )
-from repro.core.usermetrics import simulate_user_population
 
 __all__ = [
     "compromise_probability",
@@ -80,7 +78,6 @@ __all__ = [
     "MonitorConfig",
     "dynamics_aware_filter",
     "short_path_guard_weights",
-    "short_path_guard_weights_from_graph",
     "ConvergenceExposure",
     "measure_convergence_exposure",
     "AttackSchedule",
@@ -95,5 +92,4 @@ __all__ = [
     "PopulationReport",
     "UserOutcome",
     "simulate_population",
-    "simulate_user_population",
 ]

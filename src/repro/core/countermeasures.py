@@ -21,13 +21,10 @@ are dropped from the surveillance model):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.prefixes import Prefix
-from repro.asgraph.engine import RoutingEngine, shared_engine
-from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import UpdateRecord, UpdateStream
-from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
 from repro.tor.circuit import Circuit
 from repro.tor.relay import Relay
 
@@ -37,8 +34,6 @@ __all__ = [
     "PrefixMonitor",
     "dynamics_aware_filter",
     "short_path_guard_weights",
-    "short_path_guard_weights_from_graph",
-    "path_length_spec",
 ]
 
 
@@ -235,75 +230,3 @@ def short_path_guard_weights(
         else:
             weights[guard.fingerprint] = float(length) ** -alpha
     return weights
-
-
-@dataclass(frozen=True)
-class _PathLengthContext(TransientFields):
-    """Shared world for path-length trials (engine is process-local)."""
-
-    graph: ASGraph
-    client_asn: int
-    engine: Optional[RoutingEngine] = None
-
-    _transient = ("engine",)
-
-
-def _path_length_trial(
-    ctx: _PathLengthContext, trial: Trial
-) -> Optional[int]:
-    """AS-path length from the client to one guard origin (None = no route)."""
-    origin = trial.params
-    eng = ctx.engine if ctx.engine is not None else shared_engine()
-    path = eng.path(ctx.graph, ctx.client_asn, origin)
-    return len(path) if path is not None else None
-
-
-def path_length_spec(
-    graph: ASGraph,
-    client_asn: int,
-    origins: Iterable[int],
-    *,
-    engine: Optional[RoutingEngine] = None,
-) -> ExperimentSpec:
-    """Per-origin client path lengths as a runner experiment."""
-    return ExperimentSpec(
-        name="short-path-lengths",
-        trial_fn=_path_length_trial,
-        trials=tuple((f"origin-{o}", o) for o in sorted(set(origins))),
-        context=_PathLengthContext(
-            graph=graph, client_asn=client_asn, engine=engine
-        ),
-        params={"client_asn": client_asn},
-    )
-
-
-def short_path_guard_weights_from_graph(
-    graph: ASGraph,
-    client_asn: int,
-    guards: Sequence[Relay],
-    guard_asn: Callable[[Relay], int],
-    alpha: float = 2.0,
-    *,
-    engine: Optional[RoutingEngine] = None,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-) -> Dict[str, float]:
-    """:func:`short_path_guard_weights` with path lengths taken from the
-    policy-routing model instead of an external feed.
-
-    AS-path lengths from the client towards every distinct guard origin
-    run as one :mod:`repro.runner` trial per origin; each query is a
-    memoised, early-exiting kernel run, shared across clients through the
-    engine cache.  ``jobs``/``checkpoint``/``resume`` shard and persist
-    the sweep.
-    """
-    origins = sorted({guard_asn(g) for g in guards})
-    spec = path_length_spec(graph, client_asn, origins, engine=engine)
-    report = run_experiment(
-        spec, jobs=jobs, checkpoint=checkpoint, resume=resume
-    )
-    lengths: Dict[int, Optional[int]] = dict(zip(origins, report.results()))
-    return short_path_guard_weights(
-        guards, lambda g: lengths.get(guard_asn(g)), alpha
-    )

@@ -2,10 +2,10 @@
 
 The paper's §3 argument is ultimately about *users*: AS-level
 adversaries under the guard get re-rolled by BGP on every circuit, so
-time-to-first-compromise collapses for whole client populations.  The
-per-user object simulation in :mod:`repro.core.usermetrics` tops out at
-a few thousand clients; this module scales the same question to 10^6+
-clients over a month of relay churn on one machine.
+time-to-first-compromise collapses for whole client populations.  This
+module answers that question (the user-level metrics of Johnson et al.)
+for an explicit client roster — ``repro users`` and E13 — and scales it
+to 10^6+ clients over a month of relay churn on one machine.
 
 Three ideas carry the whole kernel:
 
@@ -211,21 +211,32 @@ class DayMix:
 
 
 def _as_position_weights(
-    consensus: Consensus, relay_asn: Callable[[str], int], position: str
+    consensus: Consensus,
+    relay_asn: Callable[[str], int],
+    position: str,
+    asns: Dict[str, Optional[int]],
 ) -> Dict[int, float]:
-    """Total consensus position weight per origin AS.
+    """Total consensus position weight per origin AS, summed in relay order.
 
     Relays whose fingerprint has no AS assignment (churn-born relays
     outside the static topology mapping) carry no AS-level exposure and
-    are skipped.
+    are skipped.  ``asns`` memoises ``relay_asn`` per fingerprint across
+    calls, ``None`` for the unassigned ones.
     """
     weights: Dict[int, float] = {}
     for relay, weight in zip(consensus.relays, relay_index(consensus).weights(position)):
         if weight <= 0.0:
             continue
-        try:
-            asn = relay_asn(relay.fingerprint)
-        except KeyError:
+        fingerprint = relay.fingerprint
+        if fingerprint in asns:
+            asn = asns[fingerprint]
+        else:
+            try:
+                asn = relay_asn(fingerprint)
+            except KeyError:
+                asn = None
+            asns[fingerprint] = asn
+        if asn is None:
             continue
         weights[asn] = weights.get(asn, 0.0) + weight
     return weights
@@ -244,6 +255,7 @@ def _build_day_mixes(
     """
     guard_registry: Dict[int, int] = {}
     exit_registry: Dict[int, int] = {}
+    relay_asns: Dict[str, Optional[int]] = {}
     mixes: List[DayMix] = []
     prev_consensus: Optional[Consensus] = None
     prev_mix: Optional[DayMix] = None
@@ -253,9 +265,11 @@ def _build_day_mixes(
             mixes.append(prev_mix)
             continue
         guard_weights = _as_position_weights(
-            consensus, relay_asn, Position.GUARD
+            consensus, relay_asn, Position.GUARD, relay_asns
         )
-        exit_weights = _as_position_weights(consensus, relay_asn, Position.EXIT)
+        exit_weights = _as_position_weights(
+            consensus, relay_asn, Position.EXIT, relay_asns
+        )
         if not guard_weights or not exit_weights:
             raise ValueError(
                 f"day {day + 1}'s consensus has no guard or exit capacity"

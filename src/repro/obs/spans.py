@@ -202,7 +202,6 @@ class Recorder:
             "entries",
             "compute_seconds",
             "batches",
-            "parallel_batches",
         ):
             value = getattr(stats, attr, None)
             if value is not None:

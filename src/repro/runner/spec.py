@@ -16,8 +16,7 @@ anywhere:
   produce identical reports.
 - ``context`` is the read-only world the trials share (graph, consensus,
   attacker sample, ...).  It ships to each pool worker exactly once via
-  the executor initializer — the same ship-the-graph-once pattern as
-  :meth:`repro.asgraph.engine.RoutingEngine.paths_many`.
+  the executor initializer.
 
 Seed spawning
 -------------
@@ -127,10 +126,6 @@ class ExperimentSpec:
                     f"experiment {self.name!r}: duplicate trial id {trial_id!r}"
                 )
             seen.add(trial_id)
-
-    @property
-    def num_trials(self) -> int:
-        return len(self.trials)
 
     def enumerate(self) -> Tuple[Trial, ...]:
         """Materialise the trials, spawning each one's seed."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.prefixes import Prefix
@@ -181,27 +181,6 @@ class Scenario:
         from repro.asgraph.ixp import assign_ixps
 
         return assign_ixps(self.graph, num_ixps=num_ixps, seed=self.config.seed + 31)
-
-    # -- routing ---------------------------------------------------------------
-
-    def paths(
-        self,
-        pairs: Iterable[Tuple[int, int]],
-        workers: Optional[int] = None,
-    ) -> Dict[Tuple[int, int], Optional[Tuple[int, ...]]]:
-        """Batch (src, dst) policy-path queries over this world's topology.
-
-        Thin wrapper over
-        :meth:`~repro.asgraph.engine.RoutingEngine.paths_many`: grouped by
-        destination, memoised, optionally fanned out over ``workers``
-        processes.
-        """
-        from repro.serve.api import PathBatch
-
-        batch = self.routing.paths_many(
-            self.graph, PathBatch.of(pairs, workers=workers)
-        )
-        return batch.mapping()
 
     # -- trace generation ----------------------------------------------------------
 

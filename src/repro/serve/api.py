@@ -298,15 +298,9 @@ class BatchResponse:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Typed request for :meth:`RoutingEngine.paths_many`.
-
-    ``workers``/``chunk_size`` carry the process-pool fan-out knobs that
-    used to be loose keyword arguments.
-    """
+    """Typed request for :meth:`RoutingEngine.paths_many`."""
 
     queries: Tuple[PathQuery, ...]
-    workers: Optional[int] = None
-    chunk_size: int = 8
 
     def __post_init__(self) -> None:
         queries = tuple(self.queries)
@@ -316,18 +310,9 @@ class PathBatch:
         object.__setattr__(self, "queries", queries)
 
     @classmethod
-    def of(
-        cls,
-        pairs: Iterable[Tuple[int, int]],
-        workers: Optional[int] = None,
-        chunk_size: int = 8,
-    ) -> "PathBatch":
+    def of(cls, pairs: Iterable[Tuple[int, int]]) -> "PathBatch":
         """Build from raw (src, dst) pairs."""
-        return cls(
-            queries=tuple(PathQuery(src=s, dst=d) for s, d in pairs),
-            workers=workers,
-            chunk_size=chunk_size,
-        )
+        return cls(queries=tuple(PathQuery(src=s, dst=d) for s, d in pairs))
 
 
 @dataclass(frozen=True)
@@ -390,7 +375,7 @@ class OutcomeBatch:
 class OutcomeBatchResult:
     """Per-row routing outcomes, input order preserved."""
 
-    outcomes: Tuple[object, ...]  # RoutingOutcome / CompactOutcome per row
+    outcomes: Tuple[object, ...]  # one CompactOutcome per row
 
     def __iter__(self):
         return iter(self.outcomes)

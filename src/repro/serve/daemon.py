@@ -143,23 +143,6 @@ class RoutingDaemon:
         if self._stopping is not None:
             self._stopping.set()
 
-    def serve_forever(self) -> ServeStats:
-        """Blocking entry point: run until a client asks for shutdown.
-
-        Returns the final counter snapshot (also what ``repro serve``
-        renders after the daemon exits).
-        """
-
-        async def _run() -> None:
-            await self.start()
-            await self.wait_stopped()
-
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:
-            pass
-        return self.stats()
-
     def stats(self) -> ServeStats:
         live = self.live.stats()
         return ServeStats(

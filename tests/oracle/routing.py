@@ -13,7 +13,9 @@ Within a stage, ties are broken by AS-path length and then by lowest
 next-hop AS number (a deterministic stand-in for BGP's router-ID
 tiebreak).  Every candidate carries its whole AS path, so loop prevention
 is a literal ``asn in path`` test rather than the fast kernel's forged-tail
-probe.
+probe.  Its answer is a :class:`RoutingOutcome`: a dict of whole
+:class:`~repro.asgraph.routing.Route` objects behind the same outcome API
+as the shipped :class:`~repro.asgraph.fastpath.CompactOutcome`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,71 @@ from typing import (
 )
 
 from repro.asgraph.relationships import RouteKind
-from repro.asgraph.routing import Route, RoutingOutcome, _normalise_origins, _OriginsArg
+from repro.asgraph.routing import Route, _normalise_origins, _OriginsArg
 from repro.asgraph.topology import ASGraph
 
-__all__ = ["compute_routes"]
+__all__ = ["RoutingOutcome", "compute_routes"]
 
 _Link = FrozenSet[int]
+
+
+class RoutingOutcome:
+    """The routes every AS selected for one announced prefix."""
+
+    def __init__(self, routes: Dict[int, Route], origins: Tuple[int, ...]) -> None:
+        self._routes = routes
+        self._origins = origins
+
+    @property
+    def origins(self) -> Tuple[int, ...]:
+        return self._origins
+
+    def route(self, asn: int) -> Optional[Route]:
+        return self._routes.get(asn)
+
+    def path(self, asn: int) -> Optional[Tuple[int, ...]]:
+        """AS path from ``asn`` to the prefix (inclusive), or None."""
+        route = self._routes.get(asn)
+        return route.path if route is not None else None
+
+    def reachable_ases(self) -> FrozenSet[int]:
+        return frozenset(self._routes)
+
+    def capture_set(self, origin: int) -> FrozenSet[int]:
+        """ASes whose selected route terminates at ``origin``.
+
+        With a victim and an attacker both announcing, this is the set of
+        ASes the attacker attracts (the hijack's blast radius).  Origins
+        themselves are included (they route to themselves).
+
+        For *forged-origin* announcements (an attacker announcing
+        ``(attacker, victim)``) the path terminates at the victim, so use
+        :meth:`capture_set_via` with the attacker's ASN instead.
+        """
+        return frozenset(asn for asn, route in self._routes.items() if route.origin == origin)
+
+    def capture_set_via(self, announcer: int) -> FrozenSet[int]:
+        """ASes whose selected path crosses ``announcer``.
+
+        When ``announcer`` originated a (possibly forged) announcement for
+        this prefix, every selected path containing it was attracted by
+        that announcement — its actual traffic lands at the announcer
+        regardless of the AS numbers it prepended.
+        """
+        return frozenset(
+            asn for asn, route in self._routes.items() if announcer in route.path
+        )
+
+    def ases_on_path(self, asn: int) -> FrozenSet[int]:
+        """All ASes traversed from ``asn`` to the prefix, endpoints included."""
+        path = self.path(asn)
+        return frozenset(path) if path is not None else frozenset()
+
+    def items(self) -> Iterable[Tuple[int, Route]]:
+        return self._routes.items()
+
+    def __len__(self) -> int:
+        return len(self._routes)
 
 
 def compute_routes(

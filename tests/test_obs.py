@@ -232,7 +232,6 @@ class TestAbsorbEngineStats:
             entries = 4
             compute_seconds = 0.5
             batches = 2
-            parallel_batches = 1
             hit_rate = 0.7
             stage_seconds = {"spread": 0.3, "finalize": 0.2}
 

@@ -2,9 +2,8 @@
 
 The load-bearing property: results are bit-for-bit identical to the
 per-user pure-python reference in ``tests/oracle/population.py`` (swapped
-in with ``loop_tier()``), across block sizes, and against the
-``simulate_user_population`` reference wrapper — per-user
-first-compromise days included, not just aggregates.
+in with ``loop_tier()``) at any block size — per-user first-compromise
+days included, not just aggregates.
 """
 
 from bisect import bisect_right
@@ -53,7 +52,7 @@ def run(world, **overrides):
     return simulate_population(
         scenario.graph,
         kwargs.pop("consensus", scenario.consensus),
-        scenario.relay_asn,
+        kwargs.pop("relay_asn", scenario.relay_asn),
         kwargs.pop("clients", clients),
         dests,
         kwargs.pop("adversaries", adversaries),
@@ -196,6 +195,27 @@ class TestScenarioKnobs:
         assert loop.num_users == len(world[1])
         vector = run(world, consensus=series)
         assert vector.outcomes == loop.outcomes
+
+    def test_relay_asn_asked_once_per_fingerprint(self, world):
+        scenario = world[0]
+        series = evolve_consensus(scenario.consensus, 6, ChurnConfig(seed=4))
+        asked = []
+        unassigned = set()
+
+        def relay_asn(fingerprint):
+            asked.append(fingerprint)
+            try:
+                return scenario.relay_asn(fingerprint)
+            except KeyError:
+                unassigned.add(fingerprint)
+                raise
+
+        counted = run(world, consensus=series, relay_asn=relay_asn)
+        assert len(asked) == len(set(asked))
+        assert unassigned, "no churn-born relay took the unassigned path"
+        plain = run(world, consensus=series)
+        assert counted.outcomes == plain.outcomes
+        assert counted.aggregate == plain.aggregate
 
     def test_either_dominates_forward_per_user(self, world):
         forward = run(world, mode=ObservationMode.FORWARD)

@@ -9,17 +9,15 @@ from repro.core.surveillance import ObservationMode, SurveillanceModel
 def asymmetric_graph() -> ASGraph:
     """A topology where 10 -> 20 and 20 -> 10 take different paths.
 
-    10 is a customer of 1 and peers with 3; 20 is a customer of 2;
-    1 and 2 peer; 3 and 2 peer.  Forward (10->20): customer-free options
-    are via peer 3 (10,3,2?) — 3 peers with 2, but peer routes don't chain;
-    check with the model instead of by hand.
+    10 is a customer of 1 and peers with 3; 20 is a customer of 3 and
+    peers with 1.  Each end prefers its peer route over its provider
+    route, so 10 -> 20 runs 10-3-20 and 20 -> 10 runs 20-1-10.
     """
     g = ASGraph()
-    g.add_peer_link(1, 2)
-    g.add_peer_link(3, 2)
     g.add_provider_link(customer=10, provider=1)
     g.add_peer_link(10, 3)
-    g.add_provider_link(customer=20, provider=2)
+    g.add_provider_link(customer=20, provider=3)
+    g.add_peer_link(20, 1)
     return g
 
 
@@ -37,13 +35,12 @@ class TestSegmentView:
 
     def test_detects_asymmetry(self):
         model = SurveillanceModel(asymmetric_graph())
-        fwd = model.path(10, 20)
-        rev = model.path(20, 10)
-        assert fwd is not None and rev is not None
-        if set(fwd) != set(rev):
-            assert model.is_asymmetric(10, 20)
-        # and symmetry for a trivially symmetric pair
-        assert not model.is_asymmetric(10, 10) if model.path(10, 10) else True
+        assert model.path(10, 20) == (10, 3, 20)
+        assert model.path(20, 10) == (20, 1, 10)
+        assert model.is_asymmetric(10, 20)
+        assert model.is_asymmetric(20, 10)
+        # a customer-provider pair routes over the one link both ways
+        assert not model.is_asymmetric(10, 1)
 
     def test_modes_select_directions(self):
         model = SurveillanceModel(asymmetric_graph())
@@ -59,11 +56,7 @@ class TestExposureTable:
         via peer 3, 20 -> 10 via peer 1), a pair with no valley-free route
         (1, 3) and an AS with no links (99): the unrouted cells fall back to
         the bare ``(a, b)`` segment."""
-        graph = ASGraph()
-        graph.add_provider_link(customer=10, provider=1)
-        graph.add_peer_link(10, 3)
-        graph.add_provider_link(customer=20, provider=3)
-        graph.add_peer_link(20, 1)
+        graph = asymmetric_graph()
         graph.add_as(99)
         model = SurveillanceModel(graph)
         assert model.path(10, 20) == (10, 3, 20) and model.path(20, 10) == (20, 1, 10)

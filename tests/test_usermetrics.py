@@ -1,10 +1,11 @@
-"""Tests for the user-level anonymity metrics."""
+"""Tests for the user-level anonymity metrics: ``simulate_population``
+over an explicit client roster, one user per entry, with per-user
+outcomes kept (what ``repro users`` and E13 run)."""
 
 import pytest
 
 from repro.core.population import simulate_population
 from repro.core.surveillance import ObservationMode
-from repro.core.usermetrics import simulate_user_population
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +13,7 @@ def population(small_scenario):
     clients = small_scenario.client_ases(6)
     dests = small_scenario.destination_ases(4)
     adversaries = {0, small_scenario.adversary_as()}
-    report = simulate_user_population(
+    report = simulate_population(
         small_scenario.graph,
         small_scenario.consensus,
         small_scenario.relay_asn,
@@ -22,6 +23,7 @@ def population(small_scenario):
         days=10,
         circuits_per_day=4,
         seed=5,
+        keep_outcomes=True,
     )
     return small_scenario, clients, dests, adversaries, report
 
@@ -66,12 +68,12 @@ class TestModel:
         clients = small_scenario.client_ases(4)
         dests = small_scenario.destination_ases(3)
         adversaries = {0, 1, small_scenario.adversary_as()}
-        kwargs = dict(days=6, circuits_per_day=4, seed=9)
-        fwd = simulate_user_population(
+        kwargs = dict(days=6, circuits_per_day=4, seed=9, keep_outcomes=True)
+        fwd = simulate_population(
             small_scenario.graph, small_scenario.consensus, small_scenario.relay_asn,
             clients, dests, adversaries, mode=ObservationMode.FORWARD, **kwargs
         )
-        either = simulate_user_population(
+        either = simulate_population(
             small_scenario.graph, small_scenario.consensus, small_scenario.relay_asn,
             clients, dests, adversaries, mode=ObservationMode.EITHER, **kwargs
         )
@@ -80,51 +82,32 @@ class TestModel:
     def test_bigger_adversary_is_worse(self, small_scenario):
         clients = small_scenario.client_ases(4)
         dests = small_scenario.destination_ases(3)
-        kwargs = dict(days=6, circuits_per_day=4, seed=9)
-        small = simulate_user_population(
+        kwargs = dict(days=6, circuits_per_day=4, seed=9, keep_outcomes=True)
+        small = simulate_population(
             small_scenario.graph, small_scenario.consensus, small_scenario.relay_asn,
             clients, dests, {0}, **kwargs
         )
         tier1s = set(small_scenario.graph.tier1_ases())
-        big = simulate_user_population(
+        big = simulate_population(
             small_scenario.graph, small_scenario.consensus, small_scenario.relay_asn,
             clients, dests, tier1s, **kwargs
         )
         assert big.fraction_compromised >= small.fraction_compromised
 
-    def test_wrapper_is_reference_path_for_kernel(self, population):
-        """``simulate_user_population`` must be bit-identical to a direct
-        kernel call with the same arguments — it IS the reference path."""
-        sc, clients, dests, adversaries, report = population
-        direct = simulate_population(
-            sc.graph,
-            sc.consensus,
-            sc.relay_asn,
-            clients,
-            dests,
-            adversaries,
-            days=10,
-            circuits_per_day=4,
-            seed=5,
-            keep_outcomes=True,
-        )
-        assert direct.outcomes == report.outcomes
-        assert direct.aggregate == report.aggregate
-
     def test_validation(self, small_scenario):
         clients = small_scenario.client_ases(2)
         with pytest.raises(ValueError):
-            simulate_user_population(
+            simulate_population(
                 small_scenario.graph, small_scenario.consensus,
                 small_scenario.relay_asn, clients, [1], set(), days=1
             )
         with pytest.raises(ValueError):
-            simulate_user_population(
+            simulate_population(
                 small_scenario.graph, small_scenario.consensus,
                 small_scenario.relay_asn, [], [1], {0}, days=1
             )
         with pytest.raises(ValueError):
-            simulate_user_population(
+            simulate_population(
                 small_scenario.graph, small_scenario.consensus,
                 small_scenario.relay_asn, clients, [1], {0}, days=0
             )
