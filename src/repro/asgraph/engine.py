@@ -91,7 +91,7 @@ class EngineStats:
     compute_seconds: float
     #: kernel seconds per propagation stage ("customer"/"peer"/"provider")
     stage_seconds: Mapping[str, float]
-    #: outcomes_many and paths_many calls
+    #: outcomes_many calls with at least one row (paths_many makes one)
     batches: int
 
     @property
@@ -409,57 +409,23 @@ class RoutingEngine:
         (duplicates included), with ``.mapping()`` for the
         ``{(src, dst): path}`` view.
 
-        Queries are grouped by destination — one kernel run per origin with
-        the merged source set as its early-exit targets — and answered from
-        (and stored into) the cache.  The destinations that miss are
-        computed together in ascending order, so cache-store order does not
-        depend on the order of the queries.
+        Queries are grouped by destination into one :meth:`outcomes_many`
+        batch: one row per destination, in ascending order, with the merged
+        source set as its early-exit targets.  The misses are therefore
+        computed in ascending destination order, so cache-store order does
+        not depend on the order of the queries.
         """
-        from repro.serve.api import PathBatchResult, PathResult
+        from repro.serve.api import OutcomeBatch, PathBatchResult, PathResult
 
         by_dst: Dict[int, set] = {}
         for q in batch.queries:
             by_dst.setdefault(q.dst, set()).add(q.src)
-        fp = self.fingerprint(graph)
-        keys = {
-            dst: self._base_key(fp, {dst: (dst,)}, frozenset(), {})
-            for dst in by_dst
-        }
-        outcomes: Dict[int, CompactOutcome] = {}
-        misses: List[int] = []
-        with self._lock:
-            self._batches += 1
-            for dst, srcs in by_dst.items():
-                self._queries += 1
-                cached = self._lookup(keys[dst], frozenset(srcs))
-                if cached is not None:
-                    self._hits += 1
-                    outcomes[dst] = cached
-                else:
-                    self._misses += 1
-                    misses.append(dst)
-
-        if misses:
-            misses.sort()
-            tgt_list = [frozenset(by_dst[dst]) for dst in misses]
-            timings: Dict[str, float] = {}
-            started = time.perf_counter()
-            outs = self._compute_many_raw(
-                graph,
-                [{dst: (dst,)} for dst in misses],
-                frozenset(),
-                {},
-                tgt_list,
-                timings,
-            )
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._compute_seconds += elapsed
-                self._merge_stage_seconds(timings)
-                for dst, tgts, outcome in zip(misses, tgt_list, outs):
-                    self._store(keys[dst], tgts, outcome)
-            outcomes.update(zip(misses, outs))
-
+        dsts = sorted(by_dst)
+        rows = OutcomeBatch.of(
+            [(dst,) for dst in dsts],
+            targets=[frozenset(by_dst[dst]) for dst in dsts],
+        )
+        outcomes = dict(zip(dsts, self.outcomes_many(graph, rows)))
         return PathBatchResult(
             results=tuple(
                 PathResult(src=q.src, dst=q.dst, path=outcomes[q.dst].path(q.src))

@@ -73,10 +73,7 @@ def _resilience_trial(
     Returns ``(origin, survived, trials)``; pure in (context, params), so
     the sweep shards freely.
     """
-    # Function-level import: the facade sits above this module in the
-    # serving layer; importing it lazily keeps the layering acyclic.
-    from repro.serve.api import BatchRequest, HijackQuery, HijackQueryResult
-    from repro.serve.facade import QueryFacade
+    from repro.serve.api import OutcomeBatch
 
     origin = trial.params
     eng = ctx.engine if ctx.engine is not None else shared_engine()
@@ -85,23 +82,13 @@ def _resilience_trial(
     ]
     # One shared propagation for the whole attacker sample: warm
     # (origin, attacker) pairs come from the engine LRU, the rest route
-    # together through the batch kernel inside the facade.
-    facade = QueryFacade(ctx.graph, engine=eng)
-    response = facade.execute_batch(
-        BatchRequest(
-            queries=tuple(
-                HijackQuery(
-                    victim=origin, attacker=a, clients=(ctx.client_asn,)
-                )
-                for a in attackers
-            )
-        )
+    # together through the batch kernel.  The client survives a hijack
+    # when its selected route still ends at the true origin.
+    outcomes = eng.outcomes_many(
+        ctx.graph, OutcomeBatch.of([(origin, a) for a in attackers])
     )
     survived = sum(
-        1
-        for result in response.results
-        if isinstance(result, HijackQueryResult)
-        and ctx.client_asn in result.victim_retained_clients
+        1 for outcome in outcomes if ctx.client_asn in outcome.capture_set(origin)
     )
     return (origin, survived, len(attackers))
 
@@ -174,6 +161,9 @@ def compute_resilience(
         pool = sorted(graph.ases - {client_asn})
         attacker_sample = rng.sample(pool, min(num_attackers, len(pool)))
     attackers = tuple(attacker_sample)
+    for attacker in attackers:
+        if attacker not in graph:
+            raise ValueError(f"attacker AS{attacker} not in topology")
 
     origins = {guard_asn(g) for g in guards}
     spec = resilience_spec(

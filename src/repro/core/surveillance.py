@@ -17,20 +17,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asgraph.engine import RoutingEngine, shared_engine
 from repro.asgraph.fastpath import CompactOutcome
 from repro.asgraph.topology import ASGraph
-from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
 
 __all__ = [
     "ObservationMode",
     "SegmentView",
     "SurveillanceModel",
-    "compromised_circuits_spec",
-    "observer_counts_spec",
+    "circuit_sides",
 ]
+
+#: a route source: ``path(src, dst)`` is the policy path from ``src``
+#: towards ``dst``'s prefix, or None when ``src`` has no route
+PathFn = Callable[[int, int], Optional[Tuple[int, ...]]]
 
 
 class ObservationMode(enum.Enum):
@@ -52,6 +54,14 @@ class SegmentView:
     forward: FrozenSet[int]
     reverse: FrozenSet[int]
 
+    @classmethod
+    def between(cls, path: PathFn, a: int, b: int) -> "SegmentView":
+        """The a→b (forward) and b→a (reverse) paths from ``path``; a
+        direction with no route is the bare ``(a, b)`` segment."""
+        forward = path(a, b) or (a, b)
+        reverse = path(b, a) or (b, a)
+        return cls(forward=frozenset(forward), reverse=frozenset(reverse))
+
     @property
     def either(self) -> FrozenSet[int]:
         return self.forward | self.reverse
@@ -62,6 +72,26 @@ class SegmentView:
         if mode is ObservationMode.REVERSE:
             return self.reverse
         return self.either
+
+
+def circuit_sides(
+    path: PathFn,
+    client_asn: int,
+    guard_asn: int,
+    exit_asn: int,
+    dest_asn: int,
+    mode: ObservationMode,
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """The ASes observing the entry and the exit segment under ``mode``.
+
+    A circuit's observers are the intersection of the two sets; a
+    colluding adversary set compromises it when it meets both.  ``path``
+    is any route source: engine outcomes or live route trees.
+    """
+    return (
+        SegmentView.between(path, client_asn, guard_asn).observers(mode),
+        SegmentView.between(path, exit_asn, dest_asn).observers(mode),
+    )
 
 
 class SurveillanceModel:
@@ -105,9 +135,7 @@ class SurveillanceModel:
 
     def segment_view(self, a: int, b: int) -> SegmentView:
         """ASes on the a→b path (forward) and the b→a path (reverse)."""
-        forward = self.path(a, b) or (a, b)
-        reverse = self.path(b, a) or (b, a)
-        return SegmentView(forward=frozenset(forward), reverse=frozenset(reverse))
+        return SegmentView.between(self.path, a, b)
 
     def exposure_table(
         self,
@@ -173,9 +201,10 @@ class SurveillanceModel:
         timing analysis against this client/destination pair.
         """
         self._warm(client_asn, guard_asn, exit_asn, dest_asn)
-        entry = self.segment_view(client_asn, guard_asn)
-        exit_side = self.segment_view(exit_asn, dest_asn)
-        return entry.observers(mode) & exit_side.observers(mode)
+        entry, exit_side = circuit_sides(
+            self.path, client_asn, guard_asn, exit_asn, dest_asn, mode
+        )
+        return entry & exit_side
 
     def compromised_by(
         self,
@@ -193,155 +222,36 @@ class SurveillanceModel:
         """
         adversary_set = set(adversaries)
         self._warm(client_asn, guard_asn, exit_asn, dest_asn)
-        entry = self.segment_view(client_asn, guard_asn)
-        exit_side = self.segment_view(exit_asn, dest_asn)
-        return bool(adversary_set & entry.observers(mode)) and bool(
-            adversary_set & exit_side.observers(mode)
+        entry, exit_side = circuit_sides(
+            self.path, client_asn, guard_asn, exit_asn, dest_asn, mode
         )
+        return bool(adversary_set & entry) and bool(adversary_set & exit_side)
 
     def fraction_of_circuits_compromised(
         self,
         adversaries: Iterable[int],
         circuits: Sequence[Tuple[int, int, int, int]],
         mode: ObservationMode = ObservationMode.EITHER,
-        *,
-        jobs: int = 1,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
     ) -> float:
-        """Fraction of (client, guard, exit, dest) AS tuples compromised.
-
-        One :mod:`repro.runner` trial per circuit, so large circuit
-        populations shard over ``jobs`` processes and checkpoint/resume.
-        """
+        """Fraction of (client, guard, exit, dest) AS tuples compromised."""
         if not circuits:
             raise ValueError("need at least one circuit")
-        spec = compromised_circuits_spec(
-            self.graph, adversaries, circuits, mode, engine=self.engine
+        adversary_set = frozenset(adversaries)
+        hits = sum(
+            1
+            for circuit in circuits
+            if self.compromised_by(adversary_set, *circuit, mode=mode)
         )
-        report = run_experiment(
-            spec, jobs=jobs, checkpoint=checkpoint, resume=resume
-        )
-        return sum(1 for hit in report.results() if hit) / len(circuits)
+        return hits / len(circuits)
 
     def observers_per_circuit(
         self,
         circuits: Sequence[Tuple[int, int, int, int]],
         mode: ObservationMode,
-        *,
-        jobs: int = 1,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
     ) -> List[int]:
         """Observer-count distribution — compare FORWARD vs EITHER to
         quantify §3.3's claim that asymmetry *increases* exposure."""
-        if not circuits:
-            return []
-        spec = observer_counts_spec(
-            self.graph, circuits, mode, engine=self.engine
-        )
-        report = run_experiment(
-            spec, jobs=jobs, checkpoint=checkpoint, resume=resume
-        )
-        return list(report.results())
-
-
-@dataclass(frozen=True)
-class _CircuitContext(TransientFields):
-    """Shared world for per-circuit trials (engine is process-local)."""
-
-    graph: ASGraph
-    adversaries: FrozenSet[int]
-    mode: ObservationMode
-    engine: Optional[RoutingEngine] = None
-
-    _transient = ("engine",)
-
-
-def _circuit_trials(
-    circuits: Sequence[Tuple[int, int, int, int]],
-) -> Tuple[Tuple[str, Tuple[int, int, int, int]], ...]:
-    # The index keeps ids unique when a population repeats a circuit.
-    return tuple(
-        (f"circuit-{i}-{c[0]}-{c[1]}-{c[2]}-{c[3]}", tuple(c))
-        for i, c in enumerate(circuits)
-    )
-
-
-def _exposure_result(ctx: _CircuitContext, trial: Trial, adversaries):
-    """Run one circuit through the unified query facade."""
-    # Function-level import: the facade sits above this module in the
-    # serving layer; importing it lazily keeps the layering acyclic.
-    from repro.serve.api import ExposureQuery, QueryError
-    from repro.serve.facade import QueryFacade
-
-    client, guard, exit_asn, dest = trial.params
-    facade = QueryFacade(ctx.graph, engine=ctx.engine)
-    result = facade.execute(
-        ExposureQuery(
-            client=client,
-            guard=guard,
-            exit=exit_asn,
-            dest=dest,
-            mode=ctx.mode.value,
-            adversaries=tuple(adversaries),
-        )
-    )
-    if isinstance(result, QueryError):
-        raise ValueError(result.message)
-    return result
-
-
-def _compromised_trial(ctx: _CircuitContext, trial: Trial) -> bool:
-    return bool(_exposure_result(ctx, trial, ctx.adversaries).compromised)
-
-
-def _observer_count_trial(ctx: _CircuitContext, trial: Trial) -> int:
-    return _exposure_result(ctx, trial, ()).num_observers
-
-
-def compromised_circuits_spec(
-    graph: ASGraph,
-    adversaries: Iterable[int],
-    circuits: Sequence[Tuple[int, int, int, int]],
-    mode: ObservationMode = ObservationMode.EITHER,
-    *,
-    engine: Optional[RoutingEngine] = None,
-) -> ExperimentSpec:
-    """Per-circuit compromise checks as a runner experiment."""
-    adversary_set = frozenset(adversaries)
-    return ExperimentSpec(
-        name="surveillance-compromised",
-        trial_fn=_compromised_trial,
-        trials=_circuit_trials(circuits),
-        context=_CircuitContext(
-            graph=graph, adversaries=adversary_set, mode=mode, engine=engine
-        ),
-        params={
-            "adversaries": sorted(adversary_set),
-            "mode": mode.value,
-            "circuits": len(circuits),
-        },
-    )
-
-
-def observer_counts_spec(
-    graph: ASGraph,
-    circuits: Sequence[Tuple[int, int, int, int]],
-    mode: ObservationMode,
-    *,
-    engine: Optional[RoutingEngine] = None,
-) -> ExperimentSpec:
-    """Per-circuit observer counts as a runner experiment."""
-    return ExperimentSpec(
-        name="surveillance-observers",
-        trial_fn=_observer_count_trial,
-        trials=_circuit_trials(circuits),
-        context=_CircuitContext(
-            graph=graph,
-            adversaries=frozenset(),
-            mode=mode,
-            engine=engine,
-        ),
-        params={"mode": mode.value, "circuits": len(circuits)},
-    )
+        return [
+            len(self.circuit_observers(*circuit, mode=mode))
+            for circuit in circuits
+        ]

@@ -14,8 +14,7 @@ results carrying ``schema_version``:
   set and Tor-level damage (§3.2), optionally scored against client ASes.
 
 The same objects travel two ways: in-process callers hand them to
-:class:`repro.serve.facade.QueryFacade` (which resilience, surveillance,
-and the CLI all route through), and the :mod:`repro.serve.daemon`
+:class:`repro.serve.facade.QueryFacade`, and the :mod:`repro.serve.daemon`
 serialises them over a line-JSON socket via :func:`encode` /
 :func:`decode`.  Both paths produce bit-identical results because both
 bottom out in the same facade.

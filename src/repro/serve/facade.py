@@ -2,26 +2,23 @@
 
 :class:`QueryFacade` is *the* implementation of the typed query surface in
 :mod:`repro.serve.api`: the daemon deserialises wire queries into it, and
-in-process callers (``core/resilience``, ``core/surveillance``, the CLI)
-construct one directly.  Either way the answers are bit-identical because
-there is exactly one execution path.
+in-process callers construct one directly.  Either way the answers are
+bit-identical because there is exactly one execution path.
 
-Three execution modes share that path, picked per facade:
+Path, exposure and same-prefix hijack queries read their route outcomes
+from one source, picked per facade:
 
-- **batched** (default): path queries go through the engine's grouped
-  ``paths_many``, same-prefix hijacks share one multi-origin propagation
-  via ``outcomes_many``, and exposure queries warm all four endpoint
-  origins in one batched pass before reading segment views;
 - **live** (``live=`` a :class:`~repro.asgraph.routecache.LiveRoutes`):
-  path, exposure and same-prefix hijack queries read full route trees
-  from the live route cache, which ``apply-events`` keeps in sync with
-  the current exclusion set; other attack kinds go through the engine
-  with that exclusion set.  Batches run under the live reader gate, so
-  an epoch bump never tears a batch;
-- **excluded** (``excluded_links=`` a static set): the cold reference for
-  a churned topology — every answer recomputed through the engine under
-  the full exclusion set.  Live answers at any epoch are bit-identical
-  to an excluded-mode facade built with that epoch's exclusion set.
+  full route trees from the live route cache, which ``apply-events``
+  keeps in sync with the current exclusion set.  Batches run under the
+  live reader gate, so an epoch bump never tears a batch;
+- otherwise one :meth:`~repro.asgraph.engine.RoutingEngine.outcomes_many`
+  batch per query kind under ``excluded_links`` (empty on a fresh
+  graph).  A static exclusion set makes the facade the cold reference for
+  a churned topology: live answers at any epoch are bit-identical to a
+  facade built with that epoch's exclusion set.
+
+Other attack kinds go through the engine under the current exclusion set.
 
 :class:`ResultCache` is the serving tier's memo: completed wire results
 keyed by the query's canonical wire form, LRU-bounded, stamped with the
@@ -36,11 +33,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.asgraph.engine import RoutingEngine, shared_engine
+from repro.asgraph.fastpath import CompactOutcome
 from repro.asgraph.routecache import ChurnReport, LiveRoutes
 from repro.asgraph.topology import ASGraph
+from repro.core.surveillance import ObservationMode, circuit_sides
 from repro.persist import CheckpointWriter, read_checkpoint
 from repro.serve.api import (
     API_SCHEMA_VERSION,
@@ -51,7 +50,6 @@ from repro.serve.api import (
     HijackQuery,
     HijackQueryResult,
     OutcomeBatch,
-    PathBatch,
     PathQuery,
     PathResult,
     QueryError,
@@ -388,55 +386,51 @@ class QueryFacade:
 
     # -- per-kind executors --------------------------------------------------
 
+    def _outcomes(
+        self, rows: List[Tuple[int, ...]], targets: object = None
+    ) -> Sequence[CompactOutcome]:
+        """One route outcome per announcement set in ``rows``.
+
+        Live trees when the facade follows churn; otherwise one engine
+        batch under the facade's exclusion set (empty on a fresh graph).
+        ``targets`` are per-row early-exit targets for that batch; a live
+        tree is always complete.
+        """
+        if self.live is not None:
+            return [self.live.tree(row) for row in rows]
+        return self.engine.outcomes_many(
+            self.graph,
+            OutcomeBatch.of(
+                rows,
+                excluded_links=self.excluded_links or None,
+                targets=targets,
+            ),
+        )
+
     def _execute_paths(
         self,
         request: BatchRequest,
         rows: List[int],
         results: List[Optional[object]],
     ) -> None:
-        queries: List[PathQuery] = [request.queries[i] for i in rows]
-        valid = [
-            (i, q)
-            for i, q in zip(rows, queries)
-            if self._endpoints_ok(i, results, q.src, q.dst)
-        ]
-        if not valid:
-            return
-        if self.live is not None:
-            by_dst: Dict[int, List[Tuple[int, PathQuery]]] = {}
-            for i, q in valid:
-                by_dst.setdefault(q.dst, []).append((i, q))
-            for dst, group in by_dst.items():
-                tree = self.live.tree(dst)
-                for i, q in group:
-                    results[i] = PathResult(
-                        src=q.src, dst=q.dst, path=tree.path(q.src)
-                    )
-            return
-        if self.excluded_links:
-            # paths_many keys cannot carry exclusions; route the churned
-            # recompute through per-origin outcomes instead.
-            by_dst = {}
-            for i, q in valid:
-                by_dst.setdefault(q.dst, []).append((i, q))
-            outcomes = self.engine.outcomes_many(
-                self.graph,
-                OutcomeBatch.of(
-                    [[dst] for dst in by_dst],
-                    excluded_links=self.excluded_links,
-                ),
-            )
-            for dst, outcome in zip(by_dst, outcomes):
-                for i, q in by_dst[dst]:
-                    results[i] = PathResult(
-                        src=q.src, dst=q.dst, path=outcome.path(q.src)
-                    )
-            return
-        batch = self.engine.paths_many(
-            self.graph, PathBatch(queries=tuple(q for _, q in valid))
+        # Grouped by destination in first-seen order: one outcome per
+        # destination, with its sources as early-exit targets.
+        by_dst: Dict[int, List[Tuple[int, PathQuery]]] = {}
+        for i in rows:
+            query: PathQuery = request.queries[i]
+            if self._endpoints_ok(i, results, query.src, query.dst):
+                by_dst.setdefault(query.dst, []).append((i, query))
+        outcomes = self._outcomes(
+            [(dst,) for dst in by_dst],
+            targets=[
+                frozenset(q.src for _, q in group) for group in by_dst.values()
+            ],
         )
-        for (i, _q), result in zip(valid, batch.results):
-            results[i] = result
+        for group, outcome in zip(by_dst.values(), outcomes):
+            for i, query in group:
+                results[i] = PathResult(
+                    src=query.src, dst=query.dst, path=outcome.path(query.src)
+                )
 
     def _execute_hijacks(
         self,
@@ -483,48 +477,25 @@ class QueryFacade:
                     interception_feasible=hijack.interception_feasible,
                     captured_clients=captured,
                 )
-        if not same_prefix:
-            return
+        # Same-prefix rows are two-origin announcement sets: the same key
+        # shape ``simulate_hijack`` uses, so the engine LRU is shared with
+        # every other same-prefix caller.
+        outcomes = self._outcomes([(q.victim, q.attacker) for _, q in same_prefix])
         total = len(self.graph)
-        if self.live is not None:
-            for i, query in same_prefix:
-                tree = self.live.tree((query.victim, query.attacker))
-                self._finish_same_prefix(i, query, tree, total, results)
-            return
-        # All same-prefix rows share one multi-origin propagation — the
-        # same key shape ``simulate_hijack`` uses, so the engine LRU is
-        # shared with every other same-prefix caller.
-        outcomes = self.engine.outcomes_many(
-            self.graph,
-            OutcomeBatch.of(
-                [(q.victim, q.attacker) for _, q in same_prefix],
-                excluded_links=excluded or None,
-            ),
-        )
         for (i, query), outcome in zip(same_prefix, outcomes):
-            self._finish_same_prefix(i, query, outcome, total, results)
-
-    @staticmethod
-    def _finish_same_prefix(
-        i: int,
-        query: HijackQuery,
-        outcome: object,
-        total: int,
-        results: List[Optional[object]],
-    ) -> None:
-        captured_set = outcome.capture_set(query.attacker)
-        retained_set = outcome.capture_set(query.victim)
-        results[i] = HijackQueryResult(
-            query=query,
-            capture_set=tuple(captured_set),
-            capture_fraction=len(captured_set) / total,
-            captured_clients=tuple(
-                c for c in query.clients if c in captured_set
-            ),
-            victim_retained_clients=tuple(
-                c for c in query.clients if c in retained_set
-            ),
-        )
+            captured_set = outcome.capture_set(query.attacker)
+            retained_set = outcome.capture_set(query.victim)
+            results[i] = HijackQueryResult(
+                query=query,
+                capture_set=tuple(captured_set),
+                capture_fraction=len(captured_set) / total,
+                captured_clients=tuple(
+                    c for c in query.clients if c in captured_set
+                ),
+                victim_retained_clients=tuple(
+                    c for c in query.clients if c in retained_set
+                ),
+            )
 
     def _execute_exposures(
         self,
@@ -532,74 +503,38 @@ class QueryFacade:
         rows: List[int],
         results: List[Optional[object]],
     ) -> None:
-        from repro.core.surveillance import SurveillanceModel
-
         valid: List[Tuple[int, ExposureQuery]] = []
         origins: Dict[int, None] = {}
         for i in rows:
             query: ExposureQuery = request.queries[i]
-            if not self._endpoints_ok(
-                i, results, query.client, query.guard, query.exit, query.dest
-            ):
-                continue
-            valid.append((i, query))
-            for asn in (query.client, query.guard, query.exit, query.dest):
-                origins[asn] = None
-        if not valid:
-            return
-        if self.live is not None:
-            trees = {o: self.live.tree(o) for o in origins}
-            self._resolve_exposures(
-                valid, results, lambda src, dst: trees[dst].path(src)
-            )
-            return
-        if self.excluded_links:
-            outcomes = self.engine.outcomes_many(
-                self.graph,
-                OutcomeBatch.of(
-                    [[o] for o in origins], excluded_links=self.excluded_links
-                ),
-            )
-            by_origin = dict(zip(origins, outcomes))
-            self._resolve_exposures(
-                valid, results, lambda src, dst: by_origin[dst].path(src)
-            )
-            return
-        model = SurveillanceModel(self.graph, engine=self.engine)
-        # One batched propagation for every endpoint origin in the batch.
-        model._warm(*origins)
-        self._resolve_exposures(valid, results, model.path)
+            endpoints = (query.client, query.guard, query.exit, query.dest)
+            if self._endpoints_ok(i, results, *endpoints):
+                valid.append((i, query))
+                origins.update(dict.fromkeys(endpoints))
+        # One outcome per distinct endpoint, routed together.
+        trees = dict(zip(origins, self._outcomes([(o,) for o in origins])))
 
-    def _resolve_exposures(
-        self,
-        valid: List[Tuple[int, ExposureQuery]],
-        results: List[Optional[object]],
-        path_fn,
-    ) -> None:
-        """Segment-view math over any path source (model, trees, outcomes)."""
-        from repro.core.surveillance import ObservationMode, SegmentView
-
-        def segment(a: int, b: int) -> SegmentView:
-            forward = path_fn(a, b) or (a, b)
-            reverse = path_fn(b, a) or (b, a)
-            return SegmentView(
-                forward=frozenset(forward), reverse=frozenset(reverse)
-            )
+        def path(src: int, dst: int) -> Optional[Tuple[int, ...]]:
+            return trees[dst].path(src)
 
         for i, query in valid:
-            mode = ObservationMode(query.mode)
-            entry = segment(query.client, query.guard)
-            exit_side = segment(query.exit, query.dest)
-            observers = entry.observers(mode) & exit_side.observers(mode)
+            entry, exit_side = circuit_sides(
+                path,
+                query.client,
+                query.guard,
+                query.exit,
+                query.dest,
+                ObservationMode(query.mode),
+            )
             compromised: Optional[bool] = None
             if query.adversaries:
                 adversary_set = set(query.adversaries)
-                compromised = bool(
-                    adversary_set & entry.observers(mode)
-                ) and bool(adversary_set & exit_side.observers(mode))
+                compromised = bool(adversary_set & entry) and bool(
+                    adversary_set & exit_side
+                )
             results[i] = ExposureResult(
                 query=query,
-                observers=tuple(observers),
+                observers=tuple(entry & exit_side),
                 compromised=compromised,
             )
 

@@ -5,9 +5,7 @@ it compiled each consensus into a :class:`repro.tor.index.RelayIndex`:
 every running relay is tested against every excluded relay, then a
 bandwidth-weighted draw scans the candidates in consensus order.  It
 consumes the RNG exactly as the indexed pick does, so both return the
-same relay from cloned generators.  One known difference is kept as it
-was: when the draw lands on 0.0, or past the sequential running sum, the
-scan can return a candidate of zero weight.
+same relay from cloned generators.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ def weighted_choice(
 ) -> Optional[Relay]:
     """Pick a relay with probability proportional to ``weight(relay)``.
 
+    A relay of zero weight is never picked, even when the draw is 0.0.
     Returns None when no relay has positive weight.
     """
     weights = [max(0.0, weight(r)) for r in relays]
@@ -35,11 +34,16 @@ def weighted_choice(
         return None
     pick = rng.uniform(0.0, total)
     acc = 0.0
+    last = None
     for relay, w in zip(relays, weights):
+        if w <= 0:
+            continue
         acc += w
+        last = relay
         if pick <= acc:
             return relay
-    return relays[-1]
+    # Rounding left the draw above the running sum.
+    return last
 
 
 def scan_pick(

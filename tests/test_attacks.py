@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asgraph import ASGraph, TopologyConfig, compute_routes_fast, generate_topology
+from repro.bgpsim import attacks
 from repro.bgpsim.attacks import (
     AttackKind,
     simulate_community_scoped_hijack,
     simulate_hijack,
     simulate_interception,
+    sweep_hijacks,
 )
 
 
@@ -139,3 +141,27 @@ class TestCommunityScopedHijack:
         # scoped announcements never poison the attacker's own route
         result = simulate_community_scoped_hijack(graph, 100, 50)
         assert result.interception_feasible
+
+
+class TestSweepCheckpoint:
+    @pytest.mark.parametrize("kind", [AttackKind.INTERCEPTION, AttackKind.SAME_PREFIX])
+    def test_resume_decodes_every_result(self, graph, kind, tmp_path, monkeypatch):
+        """A resumed sweep answers from its checkpoint alone: every
+        ``HijackResult`` field, the interception's announcement scope and
+        forwarding path included, survives the JSON round trip."""
+        victims = [100, 20, 80, 100]
+        checkpoint = str(tmp_path / "sweep.ckpt")
+        first = sweep_hijacks(graph, 50, victims, kind, checkpoint=checkpoint)
+        if kind is AttackKind.INTERCEPTION:
+            assert any(r.announcement_scope for r in first)
+            assert all(r.forwarding_path for r in first)
+
+        def ran_again(ctx, trial):
+            raise AssertionError(f"{trial.id} ran again on resume")
+
+        monkeypatch.setattr(attacks, "_hijack_trial", ran_again)
+        resumed = sweep_hijacks(
+            graph, 50, victims, kind, checkpoint=checkpoint, resume=True
+        )
+        assert resumed == first
+

@@ -17,7 +17,7 @@ import weakref
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tor.churn import ChurnConfig, evolve_consensus
@@ -105,6 +105,22 @@ def constraint_sets():
     return st.builds(PathConstraints, distinct_slash16=st.booleans(), distinct_family=st.booleans())
 
 
+def zero_draw_days():
+    """Day two's only guard weight is so small that ``uniform(0, total)``
+    draws 0.0, and a running relay of zero weight comes before it."""
+    up = frozenset({Flag.RUNNING, Flag.VALID})
+    guard = up | {Flag.GUARD}
+    day1 = Consensus([Relay("R0", "n0", "10.0.0.1", 9001, 1, guard)])
+    day2 = Consensus(
+        [
+            Relay("R8", "n8", "10.1.0.1", 9001, 0, up),
+            Relay("R4", "n4", "10.2.0.1", 9001, 1, guard),
+        ],
+        weights=BandwidthWeights(5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    )
+    return day1, day2
+
+
 class RecordingRandom(random.Random):
     """Records the bounds of every ``uniform`` draw: the total weight."""
 
@@ -180,6 +196,13 @@ class TestIndexedPickMatchesScan:
         rotation_days=st.sampled_from((1.0, 30.0)),
         constraints=constraint_sets(),
         seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        days=zero_draw_days(),
+        num_guards=1,
+        rotation_days=1.0,
+        constraints=PathConstraints(distinct_slash16=False, distinct_family=False),
+        seed=0,
     )
     def test_guard_fill_and_rotation(self, days, num_guards, rotation_days, constraints, seed):
         day1, day2 = days

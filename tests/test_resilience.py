@@ -8,6 +8,7 @@ from repro.core.resilience import (
     evaluate_selection,
 )
 from repro.tor.consensus import Position
+from tests.oracle.routing import compute_routes
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +58,36 @@ class TestResilienceTable:
         )
         assert again.resilience == table.resilience
 
+    def test_matches_reference_kernel(self, world):
+        """Each guard's resilience is the share of sampled attackers (other
+        than its origin and the client) whose same-prefix hijack of the
+        origin leaves the client routing to the origin, per the reference
+        kernel."""
+        sc, client, guards, table = world
+        for guard in guards:
+            origin = sc.relay_asn(guard.fingerprint)
+            attackers = [a for a in table.attacker_sample if a not in (origin, client)]
+            survived = sum(
+                client in compute_routes(sc.graph, [origin, a]).capture_set(origin)
+                for a in attackers
+            )
+            assert table.of(guard) == survived / len(attackers)
+
     def test_validation(self, small_scenario):
+        graph = small_scenario.graph
+        client = small_scenario.client_ases(1)[0]
+        guards = small_scenario.consensus.guards()[:1]
         with pytest.raises(ValueError):
-            compute_resilience(small_scenario.graph, 10**9, [], lambda g: 0)
+            compute_resilience(graph, 10**9, [], lambda g: 0)
         with pytest.raises(ValueError):
+            compute_resilience(graph, client, [], lambda g: 0)
+        with pytest.raises(ValueError, match=f"attacker AS{10**9} not in topology"):
             compute_resilience(
-                small_scenario.graph, small_scenario.client_ases(1)[0], [], lambda g: 0
+                graph,
+                client,
+                guards,
+                lambda g: small_scenario.relay_asn(g.fingerprint),
+                attacker_sample=[10**9],
             )
 
 

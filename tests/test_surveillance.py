@@ -126,6 +126,23 @@ class TestCircuitCompromise:
         assert len(counts) == 3
         assert len(set(counts)) == 1  # identical circuits, identical counts
 
+    def test_facade_exposure_answer_is_the_model_verdict(self, world):
+        """The serving tier answers an exposure query with the same
+        observers and compromise verdict as the model."""
+        from repro.serve import ExposureQuery, QueryFacade
+
+        g, model = world
+        facade = QueryFacade(g, engine=model.engine)
+        for circuit in [(90, 50, 60, 95), (91, 40, 55, 96)]:
+            for mode in ObservationMode:
+                observers = model.circuit_observers(*circuit, mode=mode)
+                result = facade.execute(
+                    ExposureQuery(*circuit, mode=mode.value, adversaries=(0, 5))
+                )
+                assert set(result.observers) == observers
+                assert result.num_observers == len(observers)
+                assert result.compromised == model.compromised_by([0, 5], *circuit, mode=mode)
+
     def test_guard_as_observes_entry(self, world):
         g, model = world
         client, guard = 90, 50
