@@ -10,43 +10,48 @@ Usage (after ``pip install -e .``)::
 
 Every command is seeded and deterministic; ``--seed`` changes the world.
 
-Commands are thin drivers: each ``_cmd_*`` computes a typed result object
-(:mod:`repro.cli.results`) and returns it; :mod:`repro.cli.render` turns
-it into the human text, and ``--json`` emits the same object as a JSON
-document instead.  ``--obs-out FILE`` streams the run's span tree,
-metrics, and manifest as JSONL (plus a ``FILE.manifest.json`` sibling);
-``--obs-summary`` prints an end-of-run summary table to stderr.
+Commands are thin drivers: each ``_cmd_*`` returns its result once, as
+the payload ``--json`` prints (a dict of JSON values, keys in print
+order), and :data:`_COMMANDS` names the :mod:`repro.cli.render` formatter
+that turns the same payload into the human text.  ``--obs-out FILE``
+streams the run's span tree, metrics, and manifest as JSONL (plus a
+``FILE.manifest.json`` sibling); ``--obs-summary`` prints an end-of-run
+summary table to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.cli.render import render
-from repro.cli.results import (
-    AttackResult,
-    CommandResult,
-    InfoResult,
-    PopulationResult,
-    ResilienceResult,
-    RovResult,
-    ServeResult,
-    StreamTraceResult,
-    SweepInfo,
-    TargetInfo,
-    TraceResult,
-    TransferResult,
-    UsersResult,
+from repro.cli.render import (
+    render_attack,
+    render_info,
+    render_population,
+    render_resilience,
+    render_rov,
+    render_serve,
+    render_stream_trace,
+    render_trace,
+    render_transfer,
+    render_users,
 )
 from repro.persist import CheckpointError
 from repro.scenario import Scenario, ScenarioConfig
 
-__all__ = ["main"]
+__all__ = ["SCHEMA_VERSION", "main"]
+
+#: bump when any payload shape changes incompatibly
+SCHEMA_VERSION = 1
+
+#: a command's ``--json`` payload, and beside it any data only its text
+#: rendering reads (the transfer's capture taps, for ``--plot``)
+Output = Tuple[Dict[str, Any], Any]
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
@@ -58,34 +63,36 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
     return Scenario(config)
 
 
-def _cmd_info(args: argparse.Namespace) -> InfoResult:
+def _cmd_info(args: argparse.Namespace) -> Output:
     scenario = _build_scenario(args)
     consensus = scenario.consensus
     graph = scenario.graph
     w = consensus.weights
-    return InfoResult(
-        num_ases=len(graph),
-        num_tier1=len(graph.tier1_ases()),
-        num_stubs=len(graph.stub_ases()),
-        num_links=graph.num_links(),
-        num_relays=len(consensus),
-        num_guards=len(consensus.guards()),
-        num_exits=len(consensus.exits()),
-        num_guard_and_exit=len(consensus.guard_and_exit()),
-        num_tor_prefixes=len(scenario.tor_prefixes),
-        num_hosting_ases=len(set(scenario.tor.prefix_origins.values())),
-        num_background_prefixes=len(scenario.background_origins),
-        weights={"Wgg": w.Wgg, "Wgd": w.Wgd, "Wee": w.Wee, "Wed": w.Wed},
-    )
+    return {
+        "ases": {
+            "total": len(graph),
+            "tier1": len(graph.tier1_ases()),
+            "stubs": len(graph.stub_ases()),
+            "links": graph.num_links(),
+        },
+        "relays": {
+            "total": len(consensus),
+            "guards": len(consensus.guards()),
+            "exits": len(consensus.exits()),
+            "guard_and_exit": len(consensus.guard_and_exit()),
+        },
+        "prefixes": {
+            "tor": len(scenario.tor_prefixes),
+            "hosting_ases": len(set(scenario.tor.prefix_origins.values())),
+            "background": len(scenario.background_origins),
+        },
+        "weights": {"Wgg": w.Wgg, "Wgd": w.Wgd, "Wee": w.Wee, "Wed": w.Wed},
+    }, None
 
 
-def _cmd_trace(args: argparse.Namespace) -> CommandResult:
-    from repro.analysis.exposure import extra_as_samples
-    from repro.analysis.pathchanges import tor_ratio_samples
-    from repro.analysis.stats import Ccdf
-    from repro.bgpsim.resets import remove_reset_artifacts
-
-    if (
+def _streams(args: argparse.Namespace) -> bool:
+    """Whether ``trace`` runs as the streaming replay (``trace-stream``)."""
+    return (
         args.stream
         or args.year
         or args.days is not None
@@ -93,8 +100,14 @@ def _cmd_trace(args: argparse.Namespace) -> CommandResult:
         or args.rfd_vendor is not None
         or args.window_days is not None
         or args.checkpoint is not None
-    ):
-        return _cmd_trace_stream(args)
+    )
+
+
+def _cmd_trace(args: argparse.Namespace) -> Output:
+    from repro.analysis.exposure import extra_as_samples
+    from repro.analysis.pathchanges import tor_ratio_samples
+    from repro.analysis.stats import Ccdf
+    from repro.bgpsim.resets import remove_reset_artifacts
 
     scenario = _build_scenario(args)
     print("running the month-long trace...", file=sys.stderr)
@@ -108,20 +121,24 @@ def _cmd_trace(args: argparse.Namespace) -> CommandResult:
         ccdf = Ccdf.from_samples(ratios)
         extras = extra_as_samples(streams, trace.tor_prefixes, trace.duration)
         eccdf = Ccdf.from_samples(extras)
-    return TraceResult(
-        num_sessions=len(streams),
-        num_records=total,
-        ratio_p_gt_1=ccdf.fraction_greater(1.0),
-        ratio_max=max(ratios),
-        extra_p_ge_2=eccdf.fraction_at_least(2),
-        extra_p_gt_5=eccdf.fraction_greater(5),
-        extra_median=eccdf.median(),
-        ratio_ccdf=tuple(ccdf.points),
-        extra_ccdf=tuple(eccdf.points),
-    )
+    return {
+        "sessions": len(streams),
+        "records_after_reset_removal": total,
+        "path_change_ratio": {
+            "p_greater_1": ccdf.fraction_greater(1.0),
+            "max": max(ratios),
+            "ccdf": [[x, y] for x, y in ccdf.points],
+        },
+        "extra_ases": {
+            "p_at_least_2": eccdf.fraction_at_least(2),
+            "p_greater_5": eccdf.fraction_greater(5),
+            "median": eccdf.median(),
+            "ccdf": [[x, y] for x, y in eccdf.points],
+        },
+    }, None
 
 
-def _cmd_trace_stream(args: argparse.Namespace) -> StreamTraceResult:
+def _cmd_trace_stream(args: argparse.Namespace) -> Output:
     """Bounded-memory streaming replay: exposed-AS growth, optional RFD.
 
     Never materializes the trace: the engine's event stream is replayed
@@ -129,8 +146,6 @@ def _cmd_trace_stream(args: argparse.Namespace) -> StreamTraceResult:
     every completed window when asked — a year over ten collectors runs
     in one day's footprint and resumes mid-year.
     """
-    import dataclasses
-
     from repro.bgpsim.rfd import ExposureConsumer, RfdFilter, VENDORS
     from repro.bgpsim.stream import DAY, replay
 
@@ -175,26 +190,31 @@ def _cmd_trace_stream(args: argparse.Namespace) -> StreamTraceResult:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    curve = tuple((end / DAY, count) for end, count in consumer.samples)
-    return StreamTraceResult(
-        duration_days=trace_cfg.duration_days,
-        num_collectors=len(trace_cfg.collector_names),
-        num_sessions=len(stream.sessions),
-        rfd_vendor=vendor,
-        windows=report.windows + report.resumed_windows,
-        window_days=trace_cfg.window_seconds / DAY,
-        records=report.records,
-        peak_window_events=report.peak_window_events,
-        resumed_windows=report.resumed_windows,
-        suppressed_records=rfd.suppressed_records if rfd else 0,
-        suppression_episodes=rfd.suppressions if rfd else 0,
-        final_exposed_ases=len(consumer.qualified),
-        exposure_curve=curve,
-        checkpoint=args.checkpoint,
-    )
+    return {
+        "duration_days": trace_cfg.duration_days,
+        "collectors": len(trace_cfg.collector_names),
+        "sessions": len(stream.sessions),
+        "rfd_vendor": vendor,
+        "replay": {
+            "windows": report.windows + report.resumed_windows,
+            "window_days": trace_cfg.window_seconds / DAY,
+            "records": report.records,
+            "peak_window_events": report.peak_window_events,
+            "resumed_windows": report.resumed_windows,
+            "checkpoint": args.checkpoint,
+        },
+        "rfd": {
+            "suppressed_records": rfd.suppressed_records if rfd else 0,
+            "suppression_episodes": rfd.suppressions if rfd else 0,
+        },
+        "exposure": {
+            "final_exposed_ases": len(consumer.qualified),
+            "curve": [[end / DAY, count] for end, count in consumer.samples],
+        },
+    }, None
 
 
-def _cmd_attack(args: argparse.Namespace) -> AttackResult:
+def _cmd_attack(args: argparse.Namespace) -> Output:
     from repro.bgpsim.attacks import AttackKind
     from repro.core.interception import AttackPlanner
     from repro.tor.consensus import Position
@@ -202,14 +222,14 @@ def _cmd_attack(args: argparse.Namespace) -> AttackResult:
     scenario = _build_scenario(args)
     planner = AttackPlanner(scenario.graph, scenario.tor, engine=scenario.engine)
     attacker = scenario.adversary_as()
-    targets = tuple(
-        TargetInfo(
-            prefix=str(t.prefix),
-            origin_asn=t.origin_asn,
-            selection_probability=t.selection_probability,
-        )
+    targets = [
+        {
+            "prefix": str(t.prefix),
+            "origin_asn": t.origin_asn,
+            "selection_probability": t.selection_probability,
+        }
         for t in planner.rank_targets(Position.GUARD).top(args.top)
-    )
+    ]
     sweeps = []
     for kind in (AttackKind.SAME_PREFIX, AttackKind.INTERCEPTION, AttackKind.COMMUNITY_SCOPED):
         # One checkpoint file per attack kind, derived from the base path.
@@ -227,56 +247,54 @@ def _cmd_attack(args: argparse.Namespace) -> AttackResult:
         )
         fracs = [o.hijack.capture_fraction for o in outcomes]
         sweeps.append(
-            SweepInfo(
-                kind=kind.value,
-                mean_capture=sum(fracs) / len(fracs) if fracs else 0.0,
-                interception_feasible=sum(
+            {
+                "kind": kind.value,
+                "mean_capture_fraction": sum(fracs) / len(fracs) if fracs else 0.0,
+                "interception_feasible": sum(
                     o.hijack.interception_feasible for o in outcomes
                 ),
-                num_targets=len(outcomes),
-            )
+                "targets": len(outcomes),
+            }
         )
     coverage = planner.surveillance_coverage(attacker, args.top, args.top)
-    return AttackResult(
-        attacker_asn=attacker,
-        top_targets=targets,
-        sweeps=tuple(sweeps),
-        guard_coverage=coverage["guard_coverage"],
-        exit_coverage=coverage["exit_coverage"],
-        circuit_coverage=coverage["circuit_coverage"],
-        top_k=args.top,
-    )
+    return {
+        "attacker_asn": attacker,
+        "top_k": args.top,
+        "top_guard_targets": targets,
+        "sweeps": sweeps,
+        "surveillance_coverage": {
+            "guard": coverage["guard_coverage"],
+            "exit": coverage["exit_coverage"],
+            "circuit": coverage["circuit_coverage"],
+        },
+    }, None
 
 
-def _cmd_transfer(args: argparse.Namespace) -> TransferResult:
+def _cmd_transfer(args: argparse.Namespace) -> Output:
     from repro.core.asymmetric import correlate_segments
     from repro.traffic.circuitsim import CircuitTransfer, TransferConfig
 
     sim = CircuitTransfer(TransferConfig(file_size=args.size)).run()
     taps = sim.taps.all()
-    samples = tuple(
-        (
-            sim.duration * i / 10,
-            {c.name: c.cumulative_at(sim.duration * i / 10) for c in taps},
-        )
-        for i in range(1, 11)
-    )
-    correlations = tuple(
-        (a, b, r) for (a, b), r in correlate_segments(sim.taps).items()
-    )
-    return TransferResult(
-        bytes_delivered=sim.bytes_delivered,
-        duration=sim.duration,
-        throughput=sim.throughput,
-        cells_forwarded=sim.cells_forwarded,
-        sendmes=sim.sendmes,
-        samples=samples,
-        correlations=correlations,
-        taps=sim.taps,
-    )
+    times = [sim.duration * i / 10 for i in range(1, 11)]
+    return {
+        "bytes_delivered": sim.bytes_delivered,
+        "duration_seconds": sim.duration,
+        "throughput_bytes_per_second": sim.throughput,
+        "cells_forwarded": sim.cells_forwarded,
+        "sendmes": sim.sendmes,
+        "cumulative_bytes": [
+            {"time": t, "segments": {c.name: c.cumulative_at(t) for c in taps}}
+            for t in times
+        ],
+        "correlations": [
+            {"a": a, "b": b, "r": r}
+            for (a, b), r in correlate_segments(sim.taps).items()
+        ],
+    }, sim.taps
 
 
-def _cmd_rov(args: argparse.Namespace) -> RovResult:
+def _cmd_rov(args: argparse.Namespace) -> Output:
     from repro.bgpsim.rpki import RpkiRegistry, adoption_sweep
     from repro.core.interception import AttackPlanner
     from repro.tor.consensus import Position
@@ -301,18 +319,22 @@ def _cmd_rov(args: argparse.Namespace) -> RovResult:
         checkpoint=f"{args.checkpoint}.forged" if args.checkpoint else None,
         resume=args.resume,
     )
-    rows = tuple(
-        (rate, cap_h, cap_f) for (rate, cap_h), (_r, cap_f) in zip(honest, forged)
-    )
-    return RovResult(
-        prefix=str(target.prefix),
-        origin_asn=target.origin_asn,
-        attacker_asn=attacker,
-        rows=rows,
-    )
+    return {
+        "prefix": str(target.prefix),
+        "origin_asn": target.origin_asn,
+        "attacker_asn": attacker,
+        "adoption_sweep": [
+            {
+                "adoption": rate,
+                "capture_invalid_origin": cap_h,
+                "capture_forged_origin": cap_f,
+            }
+            for (rate, cap_h), (_r, cap_f) in zip(honest, forged)
+        ],
+    }, None
 
 
-def _cmd_users(args: argparse.Namespace) -> UsersResult:
+def _cmd_users(args: argparse.Namespace) -> Output:
     from repro.core.population import simulate_population
     from repro.core.surveillance import ObservationMode
 
@@ -337,17 +359,17 @@ def _cmd_users(args: argparse.Namespace) -> UsersResult:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    return UsersResult(
-        num_clients=len(clients),
-        days=args.days,
-        adversaries=tuple(sorted(adversaries)),
-        curve=tuple(report.fraction_compromised_by_day()),
-        fraction_compromised=report.fraction_compromised,
-        median_days=report.median_days_to_compromise(),
-    )
+    return {
+        "clients": len(clients),
+        "days": args.days,
+        "adversaries": sorted(adversaries),
+        "fraction_compromised_by_day": list(report.fraction_compromised_by_day()),
+        "fraction_compromised": report.fraction_compromised,
+        "median_days_to_compromise": report.median_days_to_compromise(),
+    }, None
 
 
-def _cmd_population(args: argparse.Namespace) -> PopulationResult:
+def _cmd_population(args: argparse.Namespace) -> Output:
     from repro.core.population import simulate_population
     from repro.core.surveillance import ObservationMode
     from repro.tor.churn import ChurnConfig, evolve_consensus
@@ -395,31 +417,33 @@ def _cmd_population(args: argparse.Namespace) -> PopulationResult:
     )
     elapsed = time.perf_counter() - started
     quantiles = (0.25, 0.5, 0.9)
-    return PopulationResult(
-        num_users=report.num_users,
-        num_client_ases=len(client_pool),
-        days=args.days,
-        circuits_per_day=args.circuits_per_day,
-        num_guards=args.guards,
-        skew=args.skew,
-        churn=args.churn,
-        adversaries=tuple(sorted(adversaries)),
-        curve=tuple(report.fraction_compromised_by_day()),
-        fraction_compromised=report.fraction_compromised,
-        median_days=report.median_days_to_compromise(),
-        time_to_compromise=tuple(
-            (q, report.time_to_compromise_percentile(q)) for q in quantiles
-        ),
-        rate_percentiles=tuple(
-            (q, report.compromise_rate_percentile(q)) for q in quantiles
-        ),
-        user_days_per_sec=(
+    return {
+        "users": report.num_users,
+        "client_ases": len(client_pool),
+        "days": args.days,
+        "circuits_per_day": args.circuits_per_day,
+        "num_guards": args.guards,
+        "skew": args.skew,
+        "churn": args.churn,
+        "adversaries": sorted(adversaries),
+        "fraction_compromised_by_day": list(report.fraction_compromised_by_day()),
+        "fraction_compromised": report.fraction_compromised,
+        "median_days_to_compromise": report.median_days_to_compromise(),
+        "time_to_compromise_days": [
+            {"q": q, "day": report.time_to_compromise_percentile(q)}
+            for q in quantiles
+        ],
+        "compromise_rate_percentiles": [
+            {"q": q, "rate": report.compromise_rate_percentile(q)}
+            for q in quantiles
+        ],
+        "user_days_per_sec": (
             report.num_users * args.days / elapsed if elapsed > 0 else 0.0
         ),
-    )
+    }, None
 
 
-def _cmd_resilience(args: argparse.Namespace) -> ResilienceResult:
+def _cmd_resilience(args: argparse.Namespace) -> Output:
     from repro.core.resilience import compute_resilience, evaluate_selection
 
     scenario = _build_scenario(args)
@@ -451,20 +475,27 @@ def _cmd_resilience(args: argparse.Namespace) -> ResilienceResult:
         {(guard_asn(g), table.of(g)) for g in guards},
         key=lambda item: (-item[1], item[0]),
     )
-    selection = tuple(
-        (e.alpha, e.expected_capture, e.bandwidth_distortion)
-        for e in evaluate_selection(scenario.consensus, table, guards)
-    )
-    return ResilienceResult(
-        client_asn=client,
-        num_guards=len(guards),
-        num_attackers=len(table.attacker_sample),
-        mean_resilience=sum(values) / len(values),
-        min_resilience=min(values),
-        max_resilience=max(values),
-        top_guards=tuple(by_origin[: args.top]),
-        selection=selection,
-    )
+    return {
+        "client_asn": client,
+        "guards": len(guards),
+        "attackers": len(table.attacker_sample),
+        "resilience": {
+            "mean": sum(values) / len(values),
+            "min": min(values),
+            "max": max(values),
+        },
+        "top_guards": [
+            {"origin_asn": asn, "resilience": res} for asn, res in by_origin[: args.top]
+        ],
+        "selection_tradeoff": [
+            {
+                "alpha": e.alpha,
+                "expected_capture": e.expected_capture,
+                "bandwidth_distortion": e.bandwidth_distortion,
+            }
+            for e in evaluate_selection(scenario.consensus, table, guards)
+        ],
+    }, None
 
 
 def _follow_churn_events(scenario, follow_days: float):
@@ -475,12 +506,10 @@ def _follow_churn_events(scenario, follow_days: float):
     by ``open_stream`` without draining the update iterator), then keeps
     only the core fail/recover deltas.
     """
-    import dataclasses as _dc
-
     from repro.bgpsim.trace import TraceEngine
     from repro.serve.follow import link_events
 
-    trace_cfg = _dc.replace(scenario.config.trace, duration_days=follow_days)
+    trace_cfg = dataclasses.replace(scenario.config.trace, duration_days=follow_days)
     engine = TraceEngine(
         scenario.graph,
         scenario.prefix_origins,
@@ -490,7 +519,7 @@ def _follow_churn_events(scenario, follow_days: float):
     return link_events(engine.open_stream().events)
 
 
-def _cmd_serve(args: argparse.Namespace) -> ServeResult:
+def _cmd_serve(args: argparse.Namespace) -> Output:
     import asyncio
     import threading
 
@@ -570,28 +599,24 @@ def _cmd_serve(args: argparse.Namespace) -> ServeResult:
         pass
     if follow_thread is not None:
         follow_thread.join(timeout=30.0)
-    stats = daemon.stats()
-    return ServeResult(
-        host=bound["host"],
-        port=bound["port"],
-        num_ases=len(scenario.graph),
-        connections=stats.connections,
-        requests=stats.requests,
-        batches=stats.batches,
-        queries=stats.queries,
-        errors=stats.errors,
-        cache_entries=stats.cache_entries,
-        cache_hits=stats.cache_hits,
-        cache_misses=stats.cache_misses,
-        epoch=stats.epoch,
-        pool_sessions=stats.pool_sessions,
-        pool_hits=stats.pool_hits,
-        pool_misses=stats.pool_misses,
-        pool_evictions=stats.pool_evictions,
-        pool_repairs=stats.pool_repairs,
-        follow_windows=churn["windows"],
-        follow_events=churn["events"],
-    )
+    stats = dataclasses.asdict(daemon.stats())
+    return {
+        "address": bound,
+        "world": {"ases": len(scenario.graph)},
+        "traffic": {
+            key: stats[key]
+            for key in ("connections", "requests", "batches", "queries", "errors")
+        },
+        "cache": {key: stats[f"cache_{key}"] for key in ("entries", "hits", "misses")},
+        "pool": {
+            "epoch": stats["epoch"],
+            **{
+                key: stats[f"pool_{key}"]
+                for key in ("sessions", "hits", "misses", "evictions", "repairs")
+            },
+        },
+        "follow": churn,
+    }, None
 
 
 def _add_global_args(
@@ -787,21 +812,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "trace": _cmd_trace,
-    "attack": _cmd_attack,
-    "transfer": _cmd_transfer,
-    "rov": _cmd_rov,
-    "users": _cmd_users,
-    "population": _cmd_population,
-    "resilience": _cmd_resilience,
-    "serve": _cmd_serve,
+#: command name -> (handler, renderer); streaming ``trace`` runs and
+#: reports as ``trace-stream``
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], Output], Callable[..., str]]] = {
+    "info": (_cmd_info, render_info),
+    "trace": (_cmd_trace, render_trace),
+    "trace-stream": (_cmd_trace_stream, render_stream_trace),
+    "attack": (_cmd_attack, render_attack),
+    "transfer": (_cmd_transfer, render_transfer),
+    "rov": (_cmd_rov, render_rov),
+    "users": (_cmd_users, render_users),
+    "population": (_cmd_population, render_population),
+    "resilience": (_cmd_resilience, render_resilience),
+    "serve": (_cmd_serve, render_serve),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = (
+        "trace-stream" if args.command == "trace" and _streams(args) else args.command
+    )
+    handler, renderer = _COMMANDS[command]
 
     summary = args.obs_summary
     sinks: List[obs.Sink] = []
@@ -821,16 +853,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             scale=args.scale,
         ):
-            result: CommandResult = _HANDLERS[args.command](args)
+            payload, aside = handler(args)
         if args.json:
-            json.dump(
-                result.document(seed=args.seed, scale=args.scale),
-                sys.stdout,
-                indent=2,
-            )
+            document = {
+                "schema_version": SCHEMA_VERSION,
+                "command": command,
+                "seed": args.seed,
+                "scale": args.scale,
+                "result": payload,
+            }
+            json.dump(document, sys.stdout, indent=2)
             sys.stdout.write("\n")
         else:
-            print(render(result, plot=getattr(args, "plot", False)))
+            print(renderer(payload, getattr(args, "plot", False), aside))
         return 0
     except CheckpointError as exc:
         # A checkpoint that cannot be resumed is the user's file, not a
@@ -844,21 +879,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest = obs.RunManifest.collect(
             command=args.command,
             argv=list(argv) if argv is not None else sys.argv[1:],
-            params={
-                "seed": args.seed,
-                "scale": args.scale,
-                "json": args.json,
-                **{
-                    key: getattr(args, key)
-                    for key in (
-                        "plot", "top", "size", "clients", "days",
-                        "attackers", "jobs", "checkpoint", "resume",
-                        "users", "client_ases", "circuits_per_day",
-                        "guards", "skew", "churn",
-                    )
-                    if hasattr(args, key)
-                },
-            },
+            params={k: v for k, v in vars(args).items() if k != "command"},
             started_at=started_at,
             wall_seconds=time.perf_counter() - t0,
         )

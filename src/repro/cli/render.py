@@ -1,103 +1,106 @@
-"""Human rendering of :mod:`repro.cli.results` objects.
+"""Human rendering of the CLI's ``--json`` payloads.
 
-One formatter per result type, all returning the exact text the commands
-have always printed — the typed results changed where the numbers live,
-not what the terminal shows.  ``--plot`` variants append ASCII plots built
-from the data carried on the result.
+One formatter per command, each reading the payload its handler returned
+(the dict ``--json`` prints as ``result``) and returning the text the
+command prints.  A formatter also gets ``--plot`` and the plot-only data
+its handler kept beside the payload (the transfer's capture taps), which
+the JSON leaves out.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Any, Dict
 
-from repro.cli.results import (
-    AttackResult,
-    CommandResult,
-    InfoResult,
-    PopulationResult,
-    ResilienceResult,
-    RovResult,
-    ServeResult,
-    StreamTraceResult,
-    TraceResult,
-    TransferResult,
-    UsersResult,
-)
+__all__ = [
+    "render_info",
+    "render_trace",
+    "render_stream_trace",
+    "render_attack",
+    "render_transfer",
+    "render_rov",
+    "render_users",
+    "render_population",
+    "render_resilience",
+    "render_serve",
+]
 
-__all__ = ["render"]
+Payload = Dict[str, Any]
 
 
-def render_info(result: InfoResult, plot: bool = False) -> str:
-    w = result.weights
+def render_info(r: Payload, plot: bool = False, aside: object = None) -> str:
+    ases, relays, prefixes, w = r["ases"], r["relays"], r["prefixes"], r["weights"]
     return "\n".join(
         [
-            f"ASes:            {result.num_ases} ({result.num_tier1} tier-1, "
-            f"{result.num_stubs} stubs, {result.num_links} links)",
-            f"relays:          {result.num_relays}",
-            f"  guards:        {result.num_guards}",
-            f"  exits:         {result.num_exits}",
-            f"  guard+exit:    {result.num_guard_and_exit}",
-            f"tor prefixes:    {result.num_tor_prefixes}",
-            f"hosting ASes:    {result.num_hosting_ases}",
-            f"bg prefixes:     {result.num_background_prefixes}",
+            f"ASes:            {ases['total']} ({ases['tier1']} tier-1, "
+            f"{ases['stubs']} stubs, {ases['links']} links)",
+            f"relays:          {relays['total']}",
+            f"  guards:        {relays['guards']}",
+            f"  exits:         {relays['exits']}",
+            f"  guard+exit:    {relays['guard_and_exit']}",
+            f"tor prefixes:    {prefixes['tor']}",
+            f"hosting ASes:    {prefixes['hosting_ases']}",
+            f"bg prefixes:     {prefixes['background']}",
             f"weights:         Wgg={w['Wgg']:.2f} Wgd={w['Wgd']:.2f} "
             f"Wee={w['Wee']:.2f} Wed={w['Wed']:.2f}",
         ]
     )
 
 
-def render_trace(result: TraceResult, plot: bool = False) -> str:
+def render_trace(r: Payload, plot: bool = False, aside: object = None) -> str:
+    ratio, extra = r["path_change_ratio"], r["extra_ases"]
     lines = [
-        f"sessions: {result.num_sessions}, records after reset removal: {result.num_records}",
+        f"sessions: {r['sessions']}, records after reset removal: "
+        f"{r['records_after_reset_removal']}",
         "",
         "Figure 3 (left) — path-change ratio of Tor prefixes:",
-        f"  P[ratio > 1]  = {result.ratio_p_gt_1:.1%}  (paper: >50%)",
-        f"  max ratio     = {result.ratio_max:.0f}x     (paper: >2000x outlier)",
+        f"  P[ratio > 1]  = {ratio['p_greater_1']:.1%}  (paper: >50%)",
+        f"  max ratio     = {ratio['max']:.0f}x     (paper: >2000x outlier)",
         "",
         "Figure 3 (right) — extra ASes (>=5 min) per Tor prefix:",
-        f"  P[extra >= 2] = {result.extra_p_ge_2:.1%}  (paper: 50%)",
-        f"  P[extra > 5]  = {result.extra_p_gt_5:.1%}  (paper: ~8%)",
-        f"  median        = {result.extra_median:.0f}",
+        f"  P[extra >= 2] = {extra['p_at_least_2']:.1%}  (paper: 50%)",
+        f"  P[extra > 5]  = {extra['p_greater_5']:.1%}  (paper: ~8%)",
+        f"  median        = {extra['median']:.0f}",
     ]
     if plot:
         from repro.analysis.asciiplot import plot_ccdf
 
-        positive = [(max(x, 0.01), y) for x, y in result.ratio_ccdf]
+        positive = [(max(x, 0.01), y) for x, y in ratio["ccdf"]]
         lines += [
             "",
             plot_ccdf(positive, title="Figure 3 (left): tor pfx change ratio / session median"),
             "",
             plot_ccdf(
-                [(max(x, 0.5), y) for x, y in result.extra_ccdf],
+                [(max(x, 0.5), y) for x, y in extra["ccdf"]],
                 title="Figure 3 (right): extra ASes (>=5 min) per tor prefix",
             ),
         ]
     return "\n".join(lines)
 
 
-def render_stream_trace(result: StreamTraceResult, plot: bool = False) -> str:
-    vendor = result.rfd_vendor if result.rfd_vendor else "off"
+def render_stream_trace(r: Payload, plot: bool = False, aside: object = None) -> str:
+    replay, rfd = r["replay"], r["rfd"]
     lines = [
-        f"streamed {result.duration_days:.0f} days over {result.num_collectors} "
-        f"collectors ({result.num_sessions} sessions), RFD: {vendor}",
-        f"replay:   {result.windows} windows x {result.window_days:g} days, "
-        f"{result.records} records, peak window {result.peak_window_events} events"
+        f"streamed {r['duration_days']:.0f} days over {r['collectors']} "
+        f"collectors ({r['sessions']} sessions), RFD: {r['rfd_vendor'] or 'off'}",
+        f"replay:   {replay['windows']} windows x {replay['window_days']:g} days, "
+        f"{replay['records']} records, peak window {replay['peak_window_events']} events"
         + (
-            f" (resumed past {result.resumed_windows} windows)"
-            if result.resumed_windows
+            f" (resumed past {replay['resumed_windows']} windows)"
+            if replay["resumed_windows"]
             else ""
         ),
     ]
-    if result.rfd_vendor:
+    if r["rfd_vendor"]:
         lines.append(
-            f"damping:  {result.suppressed_records} updates absorbed in "
-            f"{result.suppression_episodes} suppression episodes"
+            f"damping:  {rfd['suppressed_records']} updates absorbed in "
+            f"{rfd['suppression_episodes']} suppression episodes"
         )
     lines += [
         "",
-        f"exposed ASes (dwell-qualified, cumulative): {result.final_exposed_ases}",
+        f"exposed ASes (dwell-qualified, cumulative): "
+        f"{r['exposure']['final_exposed_ases']}",
     ]
-    curve = result.exposure_curve
+    curve = r["exposure"]["curve"]
     if curve:
         step = max(1, len(curve) // 10)
         lines.append("  day   exposed ASes")
@@ -109,49 +112,55 @@ def render_stream_trace(result: StreamTraceResult, plot: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_attack(result: AttackResult, plot: bool = False) -> str:
-    lines = [f"attacker: AS{result.attacker_asn}", ""]
+def render_attack(r: Payload, plot: bool = False, aside: object = None) -> str:
+    lines = [f"attacker: AS{r['attacker_asn']}", ""]
     lines.append("top guard-prefix targets:")
-    for target in result.top_targets:
+    for target in r["top_guard_targets"]:
         lines.append(
-            f"  {target.prefix:20s} AS{target.origin_asn:<6d} "
-            f"p(select)={target.selection_probability:.3f}"
+            f"  {target['prefix']:20s} AS{target['origin_asn']:<6d} "
+            f"p(select)={target['selection_probability']:.3f}"
         )
     lines.append("")
-    for sweep in result.sweeps:
+    for sweep in r["sweeps"]:
         lines.append(
-            f"{sweep.kind:26s} mean capture {sweep.mean_capture:6.1%}, "
-            f"intercept-feasible {sweep.interception_feasible}/{sweep.num_targets}"
+            f"{sweep['kind']:26s} mean capture {sweep['mean_capture_fraction']:6.1%}, "
+            f"intercept-feasible {sweep['interception_feasible']}/{sweep['targets']}"
         )
     lines.append(
-        f"\nsurveillance coverage (top-{result.top_k} guard+exit interception): "
-        f"{result.circuit_coverage:.2%} of circuits correlatable"
+        f"\nsurveillance coverage (top-{r['top_k']} guard+exit interception): "
+        f"{r['surveillance_coverage']['circuit']:.2%} of circuits correlatable"
     )
     return "\n".join(lines)
 
 
-def render_transfer(result: TransferResult, plot: bool = False) -> str:
+def render_transfer(r: Payload, plot: bool = False, aside: object = None) -> str:
+    """``aside`` holds the transfer's capture taps, read only for ``--plot``."""
     lines = [
-        f"transferred {result.bytes_delivered/1e6:.1f} MB in {result.duration:.1f}s "
-        f"({result.throughput/1000:.0f} KB/s), cells={result.cells_forwarded}, "
-        f"sendmes={result.sendmes}",
+        f"transferred {r['bytes_delivered']/1e6:.1f} MB in {r['duration_seconds']:.1f}s "
+        f"({r['throughput_bytes_per_second']/1000:.0f} KB/s), "
+        f"cells={r['cells_forwarded']}, sendmes={r['sendmes']}",
         "",
         "cumulative MB over time (Figure 2, right):",
     ]
-    names = list(result.samples[0][1]) if result.samples else []
+    samples = r["cumulative_bytes"]
+    names = list(samples[0]["segments"]) if samples else []
     lines.append("  t(s)   " + "  ".join(f"{name:>16s}" for name in names))
-    for t, row in result.samples:
-        lines.append(f"  {t:5.1f}  " + "  ".join(f"{row[name]/1e6:16.2f}" for name in names))
+    for sample in samples:
+        row = sample["segments"]
+        lines.append(
+            f"  {sample['time']:5.1f}  "
+            + "  ".join(f"{row[name]/1e6:16.2f}" for name in names)
+        )
     lines.append("\ncorrelations (any direction pair works, §3.3):")
-    for a, b, r in result.correlations:
-        lines.append(f"  {a:15s} vs {b:15s}: {r:+.3f}")
+    for c in r["correlations"]:
+        lines.append(f"  {c['a']:15s} vs {c['b']:15s}: {c['r']:+.3f}")
 
-    if plot and result.taps is not None:
+    if plot and aside is not None:
         from repro.analysis.asciiplot import plot_series
 
         series = []
         labels = []
-        for cap in result.taps.all():
+        for cap in aside.all():
             times, mbs = cap.curve()
             series.append(list(zip(times, mbs))[:: max(1, len(times) // 200)])
             labels.append(cap.name)
@@ -168,14 +177,17 @@ def render_transfer(result: TransferResult, plot: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_rov(result: RovResult, plot: bool = False) -> str:
+def render_rov(r: Payload, plot: bool = False, aside: object = None) -> str:
     lines = [
-        f"hijack of {result.prefix} (AS{result.origin_asn}) by AS{result.attacker_asn}",
+        f"hijack of {r['prefix']} (AS{r['origin_asn']}) by AS{r['attacker_asn']}",
         "",
         "ROV adoption   capture (invalid origin)   capture (forged origin)",
     ]
-    for rate, honest, forged in result.rows:
-        lines.append(f"{rate:10.0%}     {honest:12.1%}            {forged:12.1%}")
+    for row in r["adoption_sweep"]:
+        lines.append(
+            f"{row['adoption']:10.0%}     {row['capture_invalid_origin']:12.1%}"
+            f"            {row['capture_forged_origin']:12.1%}"
+        )
     lines += [
         "",
         "Origin validation kills the classic hijack; the forged-origin",
@@ -184,68 +196,75 @@ def render_rov(result: RovResult, plot: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_users(result: UsersResult, plot: bool = False) -> str:
-    lines = ["day   users compromised so far"]
-    step = max(1, result.days // 8)
-    for day in range(1, result.days + 1, step):
-        lines.append(f"{day:4d}  {result.curve[day-1]:6.1%}")
-    median = result.median_days
+def _compromise_curve(r: Payload):
+    """The day table both user simulations print, every ``days // 8`` days."""
+    days, curve = r["days"], r["fraction_compromised_by_day"]
+    step = max(1, days // 8)
+    return [f"{day:4d}  {curve[day-1]:6.1%}" for day in range(1, days + 1, step)]
+
+
+def _median_days(r: Payload) -> str:
+    median = r["median_days_to_compromise"]
+    return f"{median:.0f} days" if median is not None else f">{r['days']} days"
+
+
+def render_users(r: Payload, plot: bool = False, aside: object = None) -> str:
+    lines = ["day   users compromised so far", *_compromise_curve(r)]
     lines.append(
-        f"\nwithin {result.days} days: {result.fraction_compromised:.0%} of users; "
-        f"median time to first compromise: "
-        + (f"{median:.0f} days" if median is not None else f">{result.days} days")
+        f"\nwithin {r['days']} days: {r['fraction_compromised']:.0%} of users; "
+        f"median time to first compromise: " + _median_days(r)
     )
     return "\n".join(lines)
 
 
-def render_population(result: PopulationResult, plot: bool = False) -> str:
+def render_population(r: Payload, plot: bool = False, aside: object = None) -> str:
     lines = [
-        f"{result.num_users} users over {result.num_client_ases} client ASes "
-        f"({result.skew} skew), {result.days} days x "
-        f"{result.circuits_per_day} circuits, {result.num_guards} guards"
-        + (", daily relay churn" if result.churn else ""),
+        f"{r['users']} users over {r['client_ases']} client ASes "
+        f"({r['skew']} skew), {r['days']} days x "
+        f"{r['circuits_per_day']} circuits, {r['num_guards']} guards"
+        + (", daily relay churn" if r["churn"] else ""),
         "",
         "day   users compromised so far",
+        *_compromise_curve(r),
     ]
-    step = max(1, result.days // 8)
-    for day in range(1, result.days + 1, step):
-        lines.append(f"{day:4d}  {result.curve[day-1]:6.1%}")
-    median = result.median_days
     lines.append(
-        f"\nwithin {result.days} days: {result.fraction_compromised:.1%} of "
-        f"users; median time to first compromise: "
-        + (f"{median:.0f} days" if median is not None else f">{result.days} days")
+        f"\nwithin {r['days']} days: {r['fraction_compromised']:.1%} of "
+        f"users; median time to first compromise: " + _median_days(r)
     )
     ttc = "  ".join(
-        f"p{int(q * 100)}: " + (f"day {day}" if day is not None else "never")
-        for q, day in result.time_to_compromise
+        f"p{int(t['q'] * 100)}: " + (f"day {t['day']}" if t["day"] is not None else "never")
+        for t in r["time_to_compromise_days"]
     )
     rates = "  ".join(
-        f"p{int(q * 100)}: {rate:.1%}" for q, rate in result.rate_percentiles
+        f"p{int(p['q'] * 100)}: {p['rate']:.1%}" for p in r["compromise_rate_percentiles"]
     )
     lines += [
         f"time to compromise    {ttc}",
         f"per-user circuit rate {rates}",
-        f"throughput: {result.user_days_per_sec:,.0f} user-days/sec",
+        f"throughput: {r['user_days_per_sec']:,.0f} user-days/sec",
     ]
     return "\n".join(lines)
 
 
-def render_resilience(result: ResilienceResult, plot: bool = False) -> str:
+def render_resilience(r: Payload, plot: bool = False, aside: object = None) -> str:
+    res = r["resilience"]
     lines = [
-        f"client AS{result.client_asn} vs {result.num_attackers} sampled "
-        f"attackers over {result.num_guards} guards",
+        f"client AS{r['client_asn']} vs {r['attackers']} sampled "
+        f"attackers over {r['guards']} guards",
         "",
-        f"resilience: mean {result.mean_resilience:.1%}, "
-        f"min {result.min_resilience:.1%}, max {result.max_resilience:.1%}",
+        f"resilience: mean {res['mean']:.1%}, "
+        f"min {res['min']:.1%}, max {res['max']:.1%}",
         "",
         "most resilient guard origins:",
     ]
-    for asn, res in result.top_guards:
-        lines.append(f"  AS{asn:<6d} {res:6.1%}")
+    for guard in r["top_guards"]:
+        lines.append(f"  AS{guard['origin_asn']:<6d} {guard['resilience']:6.1%}")
     lines += ["", "alpha   E[capture]   bandwidth distortion"]
-    for alpha, capture, distortion in result.selection:
-        lines.append(f"{alpha:5.2f}   {capture:8.1%}   {distortion:10.1%}")
+    for e in r["selection_tradeoff"]:
+        lines.append(
+            f"{e['alpha']:5.2f}   {e['expected_capture']:8.1%}   "
+            f"{e['bandwidth_distortion']:10.1%}"
+        )
     lines += [
         "",
         "alpha blends resilience into guard weights (0 = vanilla Tor);",
@@ -254,45 +273,23 @@ def render_resilience(result: ResilienceResult, plot: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_serve(result: ServeResult, plot: bool = False) -> str:
+def render_serve(r: Payload, plot: bool = False, aside: object = None) -> str:
+    traffic, cache, pool, follow = r["traffic"], r["cache"], r["pool"], r["follow"]
     return "\n".join(
         [
-            f"served {result.num_ases} ASes on "
-            f"{result.host}:{result.port} (now stopped)",
-            f"connections:     {result.connections}",
-            f"requests:        {result.requests} "
-            f"({result.batches} batches, {result.queries} queries, "
-            f"{result.errors} errors)",
-            f"result cache:    {result.cache_entries} entries, "
-            f"{result.cache_hits} hits, {result.cache_misses} misses",
-            f"route cache:     epoch {result.epoch}, "
-            f"{result.pool_sessions} trees, "
-            f"{result.pool_hits} hits, {result.pool_misses} misses, "
-            f"{result.pool_evictions} evictions, {result.pool_repairs} repairs",
-            f"churn replay:    {result.follow_windows} windows, "
-            f"{result.follow_events} link events",
+            f"served {r['world']['ases']} ASes on "
+            f"{r['address']['host']}:{r['address']['port']} (now stopped)",
+            f"connections:     {traffic['connections']}",
+            f"requests:        {traffic['requests']} "
+            f"({traffic['batches']} batches, {traffic['queries']} queries, "
+            f"{traffic['errors']} errors)",
+            f"result cache:    {cache['entries']} entries, "
+            f"{cache['hits']} hits, {cache['misses']} misses",
+            f"route cache:     epoch {pool['epoch']}, "
+            f"{pool['sessions']} trees, "
+            f"{pool['hits']} hits, {pool['misses']} misses, "
+            f"{pool['evictions']} evictions, {pool['repairs']} repairs",
+            f"churn replay:    {follow['windows']} windows, "
+            f"{follow['events']} link events",
         ]
     )
-
-
-_RENDERERS: Dict[type, Callable[..., str]] = {
-    InfoResult: render_info,
-    TraceResult: render_trace,
-    StreamTraceResult: render_stream_trace,
-    AttackResult: render_attack,
-    TransferResult: render_transfer,
-    RovResult: render_rov,
-    UsersResult: render_users,
-    PopulationResult: render_population,
-    ResilienceResult: render_resilience,
-    ServeResult: render_serve,
-}
-
-
-def render(result: CommandResult, plot: bool = False) -> str:
-    """Dispatch to the formatter for this result type."""
-    try:
-        renderer = _RENDERERS[type(result)]
-    except KeyError:
-        raise TypeError(f"no renderer for {type(result).__name__}") from None
-    return renderer(result, plot=plot)

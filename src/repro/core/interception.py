@@ -28,6 +28,7 @@ from repro.bgpsim.attacks import (
 )
 from repro.tor.consensus import Position
 from repro.tor.generator import SyntheticTorNetwork
+from repro.tor.index import relay_index
 
 __all__ = ["PrefixValue", "TargetRanking", "AttackOutcome", "AttackPlanner"]
 
@@ -99,8 +100,7 @@ class AttackPlanner:
         consensus = self.network.consensus
         weights: Dict[Prefix, float] = {}
         counts: Dict[Prefix, int] = {}
-        for relay in consensus.relays:
-            w = consensus.position_weight(relay, position)
+        for relay, w in zip(consensus.relays, relay_index(consensus).weights(position)):
             if w <= 0:
                 continue
             prefix = self.network.relay_prefix[relay.fingerprint]

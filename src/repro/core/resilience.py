@@ -25,6 +25,7 @@ from repro.asgraph.engine import RoutingEngine, shared_engine
 from repro.asgraph.topology import ASGraph
 from repro.runner import ExperimentSpec, TransientFields, Trial, run_experiment
 from repro.tor.consensus import Consensus, Position
+from repro.tor.index import relay_index
 from repro.tor.relay import Relay
 
 __all__ = [
@@ -87,9 +88,11 @@ def _resilience_trial(
     outcomes = eng.outcomes_many(
         ctx.graph, OutcomeBatch.of([(origin, a) for a in attackers])
     )
-    survived = sum(
-        1 for outcome in outcomes if ctx.client_asn in outcome.capture_set(origin)
-    )
+    survived = 0
+    for outcome in outcomes:
+        path = outcome.path(ctx.client_asn)
+        if path is not None and path[-1] == origin:
+            survived += 1
     return (origin, survived, len(attackers))
 
 
@@ -197,6 +200,18 @@ def compute_resilience(
     )
 
 
+def _guard_weights(consensus: Consensus, guards: Sequence[Relay]) -> Dict[str, float]:
+    """Each guard's guard-position weight by fingerprint, in ``guards``
+    order, read from the consensus's relay index; the guards are relays of
+    ``consensus``."""
+    index = relay_index(consensus)
+    weight = {
+        relay.fingerprint: w
+        for relay, w in zip(index.relays, index.weights(Position.GUARD))
+    }
+    return {g.fingerprint: weight[g.fingerprint] for g in guards}
+
+
 def blended_guard_weights(
     consensus: Consensus,
     table: ResilienceTable,
@@ -211,7 +226,7 @@ def blended_guard_weights(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    bw = {g.fingerprint: consensus.position_weight(g, Position.GUARD) for g in guards}
+    bw = _guard_weights(consensus, guards)
     max_bw = max(bw.values()) if bw else 0.0
     weights: Dict[str, float] = {}
     for g in guards:
@@ -244,7 +259,7 @@ def evaluate_selection(
     paper's §5 trade-off quantitatively ("the client should balance this
     strategy with the need to limit...").
     """
-    bw = {g.fingerprint: consensus.position_weight(g, Position.GUARD) for g in guards}
+    bw = _guard_weights(consensus, guards)
     bw_total = sum(bw.values())
     if bw_total <= 0:
         raise ValueError("guards carry no bandwidth weight")

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.exposure import DEFAULT_DWELL_THRESHOLD
-from repro.analysis.prefixes import Prefix, format_ip
+from repro.analysis.prefixes import Prefix
 from repro.asgraph.engine import RoutingEngine, shared_engine
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import UpdateStream
 from repro.bgpsim.trace import MonthTrace
 from repro.core.anonymity import compromise_probability
-from repro.runner import ExperimentSpec, Trial, run_experiment
 
 __all__ = [
     "DwellTracker",
@@ -27,7 +26,6 @@ __all__ = [
     "compromise_trajectory",
     "ClientExposure",
     "client_exposure",
-    "exposure_spec",
     "static_guard_exposure",
 ]
 
@@ -78,9 +76,6 @@ class DwellTracker:
         """Credit dwell up to ``time`` without changing the path (sampling)."""
         self._credit(time)
         self.since = max(self.since, time)
-
-    def qualified_count(self) -> int:
-        return len(self.qualified)
 
     # -- checkpointing (state shared via ``qualified`` is *not* included;
     # -- the owner of a shared set serializes it once) ---------------------
@@ -141,17 +136,36 @@ def exposure_over_time(
     """
     if any(t < 0 for t in sample_times):
         raise ValueError("sample times must be non-negative")
-    samples = sorted(sample_times)
-    timeline = stream.path_timeline(prefix)
-    tracker = DwellTracker(dwell_threshold)
+    return _union_counts(stream, (prefix,), sorted(sample_times), dwell_threshold)
+
+
+def _union_counts(
+    stream: UpdateStream,
+    prefixes: Iterable[Prefix],
+    samples: Sequence[float],
+    threshold: float,
+) -> List[int]:
+    """Dwell-qualified ASes on any of ``prefixes``' paths at each of the
+    ascending ``samples``.
+
+    The prefixes' trackers share one qualified set, so each count is the
+    size of their union at that time without a per-sample union pass.
+    """
+    qualified: Set[int] = set()
+    tracks = [
+        (stream.path_timeline(p), DwellTracker(threshold, qualified)) for p in prefixes
+    ]
+    next_segment = [0] * len(tracks)
     counts: List[int] = []
-    seg_idx = 0
     for t in samples:
-        while seg_idx < len(timeline) and timeline[seg_idx][0] <= t:
-            tracker.observe(*timeline[seg_idx])
-            seg_idx += 1
-        tracker.advance(t)
-        counts.append(tracker.qualified_count())
+        for k, (timeline, tracker) in enumerate(tracks):
+            i = next_segment[k]
+            while i < len(timeline) and timeline[i][0] <= t:
+                tracker.observe(*timeline[i])
+                i += 1
+            next_segment[k] = i
+            tracker.advance(t)
+        counts.append(len(qualified))
     return counts
 
 
@@ -178,77 +192,18 @@ class ClientExposure:
         return [compromise_probability(f, x) for x in self.x_over_time]
 
 
-@dataclass(frozen=True)
-class _ExposureContext:
-    """Shared world for exposure trials: one observer's update stream."""
-
-    stream: UpdateStream
-    sample_times: Tuple[float, ...]
-    dwell_threshold: float
-
-
-def _exposure_trial(
-    ctx: _ExposureContext, trial: Trial
-) -> List[FrozenSet[int]]:
-    """Qualified-AS sets at each sample time for one guard prefix."""
-    return _qualified_sets(
-        ctx.stream, trial.params, ctx.sample_times, ctx.dwell_threshold
-    )
-
-
-def _encode_qualified_sets(sets: List[FrozenSet[int]]) -> List[List[int]]:
-    return [sorted(s) for s in sets]
-
-
-def _decode_qualified_sets(rows: List[List[int]]) -> List[FrozenSet[int]]:
-    return [frozenset(row) for row in rows]
-
-
-def exposure_spec(
-    stream: UpdateStream,
-    client_asn: int,
-    prefixes: Sequence[Prefix],
-    sample_times: Sequence[float],
-    dwell_threshold: float = DEFAULT_DWELL_THRESHOLD,
-) -> ExperimentSpec:
-    """The per-prefix exposure sweep as a runner experiment."""
-    return ExperimentSpec(
-        name="temporal-exposure",
-        trial_fn=_exposure_trial,
-        trials=tuple(
-            (f"prefix-{format_ip(p.network)}/{p.length}", p) for p in prefixes
-        ),
-        context=_ExposureContext(
-            stream=stream,
-            sample_times=tuple(sample_times),
-            dwell_threshold=dwell_threshold,
-        ),
-        params={
-            "client_asn": client_asn,
-            "samples": len(sample_times),
-            "dwell_threshold": dwell_threshold,
-        },
-        encode_result=_encode_qualified_sets,
-        decode_result=_decode_qualified_sets,
-    )
-
-
 def client_exposure(
     trace: MonthTrace,
     client_asn: int,
     guard_prefixes: Iterable[Prefix],
     num_samples: int = 32,
     dwell_threshold: float = DEFAULT_DWELL_THRESHOLD,
-    *,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
 ) -> ClientExposure:
     """Exposure of one observer client towards the given guard prefixes.
 
     Requires the trace to have been generated with ``client_asn`` among
-    its ``observer_asns``.  Runs one :mod:`repro.runner` trial per guard
-    prefix, so the sweep shards (``jobs``), checkpoints, and resumes.
+    its ``observer_asns``.  ``x(t)`` unions the dwell-qualified ASes over
+    the distinct guard prefixes; a repeated prefix cannot change a union.
     """
     stream = trace.observer_stream(client_asn)
     prefixes = tuple(guard_prefixes)
@@ -257,55 +212,15 @@ def client_exposure(
     sample_times = tuple(
         trace.duration * (i + 1) / num_samples for i in range(num_samples)
     )
-
-    # Qualified-AS sets per prefix per sample, unioned across the guard
-    # set.  Trial ids must be unique, and duplicates cannot change the
-    # union anyway, so the spec runs over distinct prefixes only.
-    spec = exposure_spec(
-        stream,
-        client_asn,
-        tuple(dict.fromkeys(prefixes)),
-        sample_times,
-        dwell_threshold,
+    counts = _union_counts(
+        stream, dict.fromkeys(prefixes), sample_times, dwell_threshold
     )
-    report = run_experiment(
-        spec, jobs=jobs, checkpoint=checkpoint, resume=resume
-    )
-    qualified_sets = report.results()
-    union_counts: List[int] = []
-    for i in range(len(sample_times)):
-        union: Set[int] = set()
-        for sets in qualified_sets:
-            union |= sets[i]
-        union_counts.append(len(union))
-
     return ClientExposure(
         client_asn=client_asn,
         guard_prefixes=prefixes,
         sample_times=sample_times,
-        x_over_time=tuple(union_counts),
+        x_over_time=tuple(counts),
     )
-
-
-def _qualified_sets(
-    stream: UpdateStream,
-    prefix: Prefix,
-    sample_times: Sequence[float],
-    threshold: float,
-) -> List[FrozenSet[int]]:
-    """Like :func:`exposure_over_time` but returning the qualified AS sets."""
-    samples = sorted(sample_times)
-    timeline = stream.path_timeline(prefix)
-    tracker = DwellTracker(threshold)
-    out: List[FrozenSet[int]] = []
-    seg_idx = 0
-    for t in samples:
-        while seg_idx < len(timeline) and timeline[seg_idx][0] <= t:
-            tracker.observe(*timeline[seg_idx])
-            seg_idx += 1
-        tracker.advance(t)
-        out.append(frozenset(tracker.qualified))
-    return out
 
 
 def compromise_trajectory(

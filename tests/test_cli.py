@@ -7,8 +7,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
-from repro.cli.results import SCHEMA_VERSION
+from repro.cli import SCHEMA_VERSION, main
 
 
 class TestCli:
@@ -262,6 +261,32 @@ class TestObsFlags:
             main(["info", "--engine-stats"])
         assert excinfo.value.code == 2
         assert "--engine-stats" in capsys.readouterr().err
+
+    def test_manifest_records_every_flag(self, tmp_path, capsys):
+        """The manifest echoes the parsed arguments, whatever the command."""
+
+        def params(argv):
+            out = str(tmp_path / "run.jsonl")
+            assert main(argv + ["--obs-out", out]) == 0
+            with open(out + ".manifest.json") as fh:
+                return json.load(fh)["params"]
+
+        population = params([
+            "population", "--users", "50", "--client-ases", "4", "--days", "2",
+            "--rotation-days", "7", "--zipf-exponent", "0.5",
+        ])
+        assert population["rotation_days"] == 7.0
+        assert population["zipf_exponent"] == 0.5
+        assert population["users"] == 50
+        stream = params(["trace", "--stream", "--days", "1", "--rfd-vendor", "cisco"])
+        assert stream["stream"] is True
+        assert stream["rfd_vendor"] == "cisco"
+        assert stream["days"] == 1.0
+        assert stream["year"] is False
+        assert stream["collectors"] is None
+        assert stream["window_days"] is None
+        assert stream["obs_out"].endswith("run.jsonl")
+        assert "command" not in stream
 
     def test_global_flags_accepted_before_subcommand(self, capsys):
         assert main(["--json", "--seed", "7", "info"]) == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import UpdateRecord, UpdateStream
-from repro.core import temporal
 from repro.core.temporal import (
     client_exposure,
     compromise_trajectory,
@@ -98,25 +97,6 @@ class TestClientExposure:
         assert list(times) == list(exposure.sample_times)
         for p, x in zip(probs, exposure.x_over_time):
             assert p == pytest.approx(1 - 0.98**x)
-
-    def test_checkpoint_resume_decodes_every_prefix(self, small_trace, tmp_path, monkeypatch):
-        """A resumed sweep answers from its checkpoint alone: the qualified
-        AS sets survive the JSON round trip."""
-        trace, observers = small_trace
-        client = observers[0]
-        prefixes = sorted(trace.tor_prefixes, key=str)[:3]
-        checkpoint = str(tmp_path / "exposure.ckpt")
-        first = client_exposure(trace, client, prefixes, num_samples=8, checkpoint=checkpoint)
-        assert first.final_exposure > 0
-
-        def ran_again(ctx, trial):
-            raise AssertionError(f"{trial.id} ran again on resume")
-
-        monkeypatch.setattr(temporal, "_exposure_trial", ran_again)
-        resumed = client_exposure(
-            trace, client, prefixes, num_samples=8, checkpoint=checkpoint, resume=True
-        )
-        assert resumed == first
 
     def test_requires_guard_prefixes(self, small_trace):
         trace, observers = small_trace
